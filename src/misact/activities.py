@@ -23,8 +23,9 @@ from .graph import (
     Interval,
     _bits,
     _is_independent_mask,
+    _mis_masks,
     _vertex_set_mask,
-    enumerate_maximal_independent_sets,
+    enumerate_maximal_independent_sets,  # noqa: F401  bench/spans.py traces it here
     is_maximal_independent,
     mask_of,
     relabel,
@@ -103,19 +104,30 @@ def subs(G: Graph, A: Iterable[int], v: int) -> frozenset[int]:
     return set_of(_subs_mask(G, m, v))
 
 
-def _int_active_mask(G: Graph, m: int) -> int:
-    out = 0
-    for v in _bits(m):
-        s = _subs_mask(G, m, v)
-        if not s or v > s.bit_length():  # bit_length of a mask = its max label
-            out |= 1 << (v - 1)
-    return out
+def _activity_masks(G: Graph, m: int) -> tuple[int, int]:
+    """(Int, Ext) of the independent set m in one pass over its non-members.
+
+    A non-member u with x = N(u) & A is externally active when x holds a
+    label below u.  When x is the single member v, u can replace v (it has
+    no other neighbour in A), and if u > v that makes v internally passive.
+    """
+    passive = ext = 0
+    rest = G.full_mask & ~m
+    while rest:
+        bit = rest & -rest
+        x = G.adj_mask[bit.bit_length()] & m
+        if x & (bit - 1):
+            ext |= bit
+            if not x & (x - 1):
+                passive |= x
+        rest ^= bit
+    return m & ~passive, ext
 
 
 def int_active(G: Graph, A: Iterable[int]) -> frozenset[int]:
     """Internally active vertices: members no larger neighbour can replace."""
     m = _independent_mask_checked(G, A)
-    return set_of(_int_active_mask(G, m))
+    return set_of(_activity_masks(G, m)[0])
 
 
 @dataclass(frozen=True)
@@ -152,11 +164,7 @@ class Cover:
 
 
 def _report_for_mask(G: Graph, m: int) -> ActivityReport:
-    int_m = _int_active_mask(G, m)
-    ext_m = 0
-    for a in _bits(m):
-        ext_m |= G.adj_mask[a] & ~((1 << a) - 1)
-    ext_m &= ~m
+    int_m, ext_m = _activity_masks(G, m)
     return ActivityReport(
         generator=set_of(m),
         int_=set_of(int_m),
@@ -177,10 +185,7 @@ def cover(G: Graph) -> Cover:
     """Interval cover generated by all maximal independent sets, canonical order."""
     return Cover(
         n=G.n,
-        entries=tuple(
-            _report_for_mask(G, mask_of(A))
-            for A in enumerate_maximal_independent_sets(G)
-        ),
+        entries=tuple(_report_for_mask(G, m) for m in _mis_masks(G)),
     )
 
 
@@ -257,7 +262,10 @@ def _interval_masks(C: Cover) -> list[tuple[int, int]]:
 
 
 def _pairwise_overlap(C: Cover) -> tuple[int, int] | None:
-    masks = _interval_masks(C)
+    return _overlap(_interval_masks(C))
+
+
+def _overlap(masks: list[tuple[int, int]]) -> tuple[int, int] | None:
     for i in range(len(masks)):
         lo_i, hi_i = masks[i]
         for j in range(i + 1, len(masks)):
@@ -270,8 +278,12 @@ def _pairwise_overlap(C: Cover) -> tuple[int, int] | None:
 
 def _subset_histogram(C: Cover) -> bytearray:
     """Per-subset interval membership counts, saturated at 255."""
-    counts = bytearray(1 << C.n)
-    for lo, hi in _interval_masks(C):
+    return _histogram(C.n, _interval_masks(C))
+
+
+def _histogram(n: int, masks: list[tuple[int, int]]) -> bytearray:
+    counts = bytearray(1 << n)
+    for lo, hi in masks:
         free = hi & ~lo
         s = free
         while True:
@@ -284,6 +296,16 @@ def _subset_histogram(C: Cover) -> bytearray:
     return counts
 
 
+def _generators_containing(
+    C: Cover, masks: list[tuple[int, int]], x: int
+) -> list[frozenset[int]]:
+    return [
+        e.generator
+        for e, (lo, hi) in zip(C.entries, masks)
+        if x & ~hi == 0 and lo & ~x == 0
+    ]
+
+
 def partition_verdict(C: Cover, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> PartitionVerdict:
     """Decide partition-hood of a cover by independent methods.
 
@@ -294,7 +316,8 @@ def partition_verdict(C: Cover, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> Par
     is reported.  Disagreement between methods raises, since it would mean
     the cover violates the coverage guarantee it was built under.
     """
-    overlap = _pairwise_overlap(C)
+    masks = _interval_masks(C)
+    overlap = _overlap(masks)
     pairwise_partition = overlap is None
     size_sum = sum(e.interval.size() for e in C.entries)
     size_partition = size_sum == 1 << C.n
@@ -302,7 +325,7 @@ def partition_verdict(C: Cover, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> Par
     witness = None
     repeated: int | None = None
     if C.n <= oracle_bound:
-        counts = _subset_histogram(C)
+        counts = _histogram(C.n, masks)
         zero = counts.count(0)
         if zero:
             raise RuntimeError(f"cover misses {zero} subsets; coverage violated")
@@ -312,11 +335,7 @@ def partition_verdict(C: Cover, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> Par
             raise RuntimeError("partition methods disagree on a covered lattice")
         if not exhaustive_partition:
             x = next(i for i, c in enumerate(counts) if c >= 2)
-            gens = [
-                e.generator
-                for e, (lo, hi) in zip(C.entries, _interval_masks(C))
-                if x & ~hi == 0 and lo & ~x == 0
-            ]
+            gens = _generators_containing(C, masks, x)
             witness = RepeatWitness(set_of(x), gens[0], gens[1])
     else:
         if pairwise_partition != size_partition:
@@ -341,18 +360,12 @@ def repeated_subsets_detail(
     """Every subset lying in two or more intervals, with its generators."""
     if C.n > oracle_bound:
         raise ValueError(f"exhaustive scan refused for n={C.n} > {oracle_bound}")
-    counts = _subset_histogram(C)
     masks = _interval_masks(C)
-    out = []
-    for x, c in enumerate(counts):
-        if c >= 2:
-            gens = [
-                e.generator
-                for e, (lo, hi) in zip(C.entries, masks)
-                if x & ~hi == 0 and lo & ~x == 0
-            ]
-            out.append((set_of(x), gens))
-    return out
+    return [
+        (set_of(x), _generators_containing(C, masks, x))
+        for x, c in enumerate(_histogram(C.n, masks))
+        if c >= 2
+    ]
 
 
 @dataclass(frozen=True)

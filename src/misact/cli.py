@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import combinations
-from typing import Any, Sequence
+from typing import Sequence
 
 from .activities import (
+    DEFAULT_ORACLE_BOUND,
     activity_polynomial,
     cover,
     partition_verdict,
@@ -36,7 +36,7 @@ from .families import (
     predicted_cover_kn,
     predicted_cover_lex,
 )
-from .graph import Graph, is_independent
+from .graph import Graph
 from .io import (
     EdgeListError,
     cover_report,
@@ -46,7 +46,7 @@ from .io import (
     verdict_report,
 )
 from .pruned import pruned_instance, pruned_partition
-from .verify import verify_all, verify_family
+from .verify import FAMILIES, verify_all, verify_family
 
 USAGE_ERROR = 64
 
@@ -104,32 +104,8 @@ def _need(args: argparse.Namespace, name: str):
 def _cmd_cover(args: argparse.Namespace) -> int:
     G = _read_graph(args.file)
     c = cover(G)
-    report = cover_report(c, partition_verdict(c))
-    if args.augment_probe:
-        report["augmentation_probe"] = _augment_probe(G)
-    _emit(to_json(report), args.out)
+    _emit(to_json(cover_report(c, partition_verdict(c))), args.out)
     return 0
-
-
-def _augment_probe(G: Graph) -> list[dict[str, Any]]:
-    # Exploratory: inside each generator's upper endpoint, hunt for a larger
-    # independent set by exhaustive search.  No contract attaches to this.
-    out = []
-    for e in cover(G).entries:
-        x = sorted(e.generator | e.ext)
-        found = None
-        if len(x) <= 20:
-            for r in range(len(x), len(e.generator), -1):
-                for cand in combinations(x, r):
-                    if is_independent(G, cand):
-                        found = list(cand)
-                        break
-                if found:
-                    break
-        out.append(
-            {"mis": sorted(e.generator), "larger_independent_subset": found}
-        )
-    return out
 
 
 def _cmd_partition_check(args: argparse.Namespace) -> int:
@@ -288,11 +264,6 @@ def _build_parser() -> _Parser:
 
     p = add("cover", _cmd_cover, help="activity cover of a graph")
     p.add_argument("file")
-    p.add_argument(
-        "--augment-probe",
-        action="store_true",
-        help="also hunt for larger independent sets inside each upper endpoint",
-    )
 
     p = add("partition-check", _cmd_partition_check, help="partition verdict only")
     p.add_argument("file")
@@ -302,7 +273,7 @@ def _build_parser() -> _Parser:
 
     for name, func in (("generate", _cmd_generate), ("predict", _cmd_predict)):
         p = add(name, func, help=f"{name} a graph family instance")
-        p.add_argument("family", choices=("kn", "join", "pendant", "lex", "colex"))
+        p.add_argument("family", choices=FAMILIES)
         p.add_argument("--n", type=int)
         p.add_argument("--m", type=int)
         p.add_argument("--sizes", help="comma-separated pendant block sizes")
@@ -321,11 +292,11 @@ def _build_parser() -> _Parser:
 
     p = add("verify", _cmd_verify, help="run invariant or family checks")
     p.add_argument("file", nargs="?")
-    p.add_argument("--family", choices=("kn", "join", "pendant", "lex", "colex"))
+    p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--sizes")
-    p.add_argument("--oracle-bound", type=int, default=25)
+    p.add_argument("--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND)
 
     p = add("polynomial", _cmd_polynomial, help="activity polynomial coefficients")
     p.add_argument("file")

@@ -3,7 +3,9 @@
 Vertex sets cross the API as frozensets of 1-based labels.  Internally the
 heavy routines work on integer bitmasks (bit v-1 stands for vertex v), which
 is what keeps the exhaustive subset scans elsewhere in the package cheap.
-Graphs are immutable; every function here is pure.
+Maximal independent sets are enumerated once, as the maximal cliques of the
+complement graph, by the pivoting Bron-Kerbosch search of Tomita, Tanaka and
+Takahashi (2006).  Graphs are immutable; every function here is pure.
 """
 
 from __future__ import annotations
@@ -27,10 +29,6 @@ __all__ = [
     "relabel",
     "random_graph",
 ]
-
-# Exhaustive growth is used up to this size; beyond it the pivoting
-# complement-clique enumerator takes over.
-_GROWTH_LIMIT = 20
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -217,31 +215,6 @@ def is_maximal_independent(G: Graph, S: Iterable[int]) -> bool:
     return _is_independent_mask(G, m) and _closed_mask(G, m) == G.full_mask
 
 
-def _canonical(masks: Iterable[int]) -> list[frozenset[int]]:
-    return sorted((set_of(m) for m in masks), key=sorted)
-
-
-def _mis_by_growth(G: Graph) -> list[int]:
-    """Enumerate all independent sets recursively, keep the dominating ones."""
-    out: list[int] = []
-    adj = G.adj_mask
-    full = G.full_mask
-    n = G.n
-
-    def grow(v: int, cur: int, closed: int) -> None:
-        if v > n:
-            if closed == full:
-                out.append(cur)
-            return
-        grow(v + 1, cur, closed)
-        bit = 1 << (v - 1)
-        if not adj[v] & cur:
-            grow(v + 1, cur | bit, closed | bit | adj[v])
-
-    grow(1, 0, 0)
-    return out
-
-
 def _mis_by_pivot(G: Graph) -> list[int]:
     """Maximal cliques of the complement graph, found with a pivoting search."""
     n = G.n
@@ -266,15 +239,18 @@ def _mis_by_pivot(G: Graph) -> list[int]:
     return out
 
 
+def _mis_masks(G: Graph) -> list[int]:
+    """Masks of all maximal independent sets, sorted by their sorted member lists."""
+    return sorted(_mis_by_pivot(G), key=lambda m: list(_bits(m)))
+
+
 def enumerate_maximal_independent_sets(G: Graph) -> list[frozenset[int]]:
     """All maximal independent sets, sorted by their sorted member lists.
 
-    Small graphs go through the exhaustive grower; larger ones through the
-    pivoting complement-clique enumerator.  Both emit the same canonical
-    order after sorting.
+    They are the maximal cliques of the complement graph, found by a
+    pivoting search.
     """
-    raw = _mis_by_growth(G) if G.n <= _GROWTH_LIMIT else _mis_by_pivot(G)
-    return _canonical(raw)
+    return [set_of(m) for m in _mis_masks(G)]
 
 
 def greedy_maximal_independent_set(G: Graph, order: Sequence[int]) -> frozenset[int]:

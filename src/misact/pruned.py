@@ -140,11 +140,14 @@ def compute_levels(T: Graph, root: int) -> RootedLevels:
     )
 
 
+def _parent_without_leaf_child(levels: RootedLevels) -> int | None:
+    leaves = levels.leaves
+    return next((v for v, ch in levels.children.items() if ch and not ch & leaves), None)
+
+
 def is_pruned_tree(T: Graph, root: int) -> bool:
     """True when every vertex that has children has at least one leaf child."""
-    levels = compute_levels(T, root)
-    leaves = levels.leaves
-    return all(not ch or ch & leaves for ch in levels.children.values())
+    return _parent_without_leaf_child(compute_levels(T, root)) is None
 
 
 def max_pruned_supergraph(
@@ -179,9 +182,14 @@ def is_pruned_graph_of(T: Graph, root: int, H: Graph) -> bool:
     """Whether H sits between the pruned tree T and its maximal host."""
     if T.n != H.n:
         raise ValueError("tree and host must share the vertex set")
-    if not is_pruned_tree(T, root):
+    levels = compute_levels(T, root)
+    if _parent_without_leaf_child(levels) is not None:
         raise ValueError(f"tree is not pruned when rooted at {root}")
-    hmax = max_pruned_supergraph(T, compute_levels(T, root))
+    return _in_admissible_range(T, levels, H)
+
+
+def _in_admissible_range(T: Graph, levels: RootedLevels, H: Graph) -> bool:
+    hmax = max_pruned_supergraph(T, levels)
     return all(
         T.adj_mask[v] & ~H.adj_mask[v] == 0 and H.adj_mask[v] & ~hmax.adj_mask[v] == 0
         for v in T.vertices
@@ -236,20 +244,19 @@ def pruned_instance(
     if root is None:
         root = tree_center(tree)
     levels = compute_levels(tree, root)
-    leaves = levels.leaves
-    if not all(not ch or ch & leaves for ch in levels.children.values()):
-        bad = next(
-            v for v, ch in levels.children.items() if ch and not ch & leaves
-        )
+    bad = _parent_without_leaf_child(levels)
+    if bad is not None:
         raise ValueError(f"vertex {bad} has children but no leaf child")
-    if not is_pruned_graph_of(tree, root, host):
+    if tree.n != host.n:
+        raise ValueError("tree and host must share the vertex set")
+    if not _in_admissible_range(tree, levels, host):
         raise ValueError("host graph outside the admissible edge range")
     return PrunedInstance(
         tree=tree,
         host=host,
         root=root,
         levels=levels,
-        leaf_set_tree=leaves,
+        leaf_set_tree=levels.leaves,
         leaf_set_host=frozenset(v for v in host.vertices if host.degree(v) == 1),
     )
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .activities import (
+    DEFAULT_ORACLE_BOUND,
     _locate_generator_mask,
     _subset_histogram,
     cover,
@@ -57,7 +58,7 @@ def _result(name: str, passed: bool, detail: str = "") -> CheckResult:
     return CheckResult(name=name, passed=passed, detail=detail)
 
 
-def verify_all(G: Graph, oracle_bound: int = 25) -> list[CheckResult]:
+def verify_all(G: Graph, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> list[CheckResult]:
     """Run the library's invariants on one graph.
 
     Exhaustive subset passes run only up to `oracle_bound` vertices; beyond

@@ -106,7 +106,14 @@ class TestInternalActivity:
     @settings(max_examples=60, deadline=None)
     @given(graphs())
     def test_matches_brute_force(self, g):
-        for A in brute_mis(g):
+        # every independent subset of each maximal one, the sets themselves included
+        independent = {
+            frozenset(c)
+            for M in brute_mis(g)
+            for r in range(len(M) + 1)
+            for c in combinations(sorted(M), r)
+        }
+        for A in independent:
             assert int_active(g, A) == brute_int(g, A)
             assert ext_active(g, A) == brute_ext(g, A)
             for v in A:

@@ -213,18 +213,6 @@ class TestCliCommands:
         assert report["mis_count"] == 4
         assert {"mis_size": 1, "ext_size": 4, "int_size": 0, "count": 1} in report["terms"]
 
-    def test_cover_augment_probe(self, tmp_path, capsys):
-        path = write_graph(tmp_path, dense_five_overlapping())
-        assert run(["cover", path, "--augment-probe"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        probes = {tuple(p["mis"]): p["larger_independent_subset"] for p in
-                  report["augmentation_probe"]}
-        found = probes[(1,)]  # {1}+Ext holds larger independent sets
-        from misact import is_independent
-
-        assert found is not None and len(found) > 1
-        assert is_independent(dense_five_overlapping(), found)
-
 
 class TestExitCodes:
     def test_missing_file(self, capsys):

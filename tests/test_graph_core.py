@@ -19,7 +19,7 @@ from misact import (
     random_graph,
     relabel,
 )
-from misact.graph import _mis_by_growth, _mis_by_pivot, set_of
+from misact.graph import _mis_by_pivot, set_of
 
 from reference import brute_mis
 from sample_graphs import (
@@ -147,16 +147,14 @@ class TestEnumeration:
         for n in range(1, 6):
             assert enumerate_maximal_independent_sets(Graph(n))
 
-    def test_growth_and_pivot_agree(self):
+    def test_matches_brute_mis_on_seeded_graphs(self):
         rng = random.Random(4)
         for _ in range(40):
             g = random_graph(rng.randint(1, 9), rng.random(), rng=rng)
-            growth = sorted((set_of(m) for m in _mis_by_growth(g)), key=sorted)
-            pivot = sorted((set_of(m) for m in _mis_by_pivot(g)), key=sorted)
-            assert growth == pivot
+            assert enumerate_maximal_independent_sets(g) == brute_mis(g)
 
     def test_large_graph_routes_through_pivot(self):
-        g = random_graph(24, 0.5, seed=8)  # beyond the growth cutoff
+        g = random_graph(24, 0.5, seed=8)  # too large for brute_mis
         got = enumerate_maximal_independent_sets(g)
         assert got == sorted((set_of(m) for m in _mis_by_pivot(g)), key=sorted)
         assert all(is_maximal_independent(g, s) for s in got)
