@@ -57,6 +57,8 @@ __all__ = [
 
 # Full 2^n subset scans are refused above this bound unless overridden.
 DEFAULT_ORACLE_BOUND = 25
+# No override may exceed this one: a scan allocates a 2^bound byte table.
+MAX_ORACLE_BOUND = 30
 
 ACTIVITY_MODES = ("standard", "reversed")
 
@@ -247,9 +249,11 @@ class PartitionVerdict:
     """Whether a cover's intervals are pairwise disjoint.
 
     repeated_subset_count is the number of distinct subsets lying in two or
-    more intervals; it is None when the graph is too large for the exhaustive
-    scan and the cover is not a partition (some repeat exists but the exact
-    count was not computed).
+    more intervals.  It is exact up to the verdict's `oracle_bound`; above it
+    a partition still reports 0, but a non-partition reports None (some
+    repeat exists, and the exact count was not computed).  The witness is a
+    repeated subset with two of its generators; up to the bound it is the
+    smallest repeated subset as a bitmask (bit v-1 for vertex v).
     """
 
     is_partition: bool
@@ -281,6 +285,13 @@ def _subset_histogram(C: Cover) -> bytearray:
     return _histogram(C.n, _interval_masks(C))
 
 
+def _check_oracle_bound(oracle_bound: int) -> None:
+    if oracle_bound > MAX_ORACLE_BOUND:
+        raise ValueError(
+            f"oracle bound {oracle_bound} exceeds the limit {MAX_ORACLE_BOUND}"
+        )
+
+
 def _histogram(n: int, masks: list[tuple[int, int]]) -> bytearray:
     counts = bytearray(1 << n)
     for lo, hi in masks:
@@ -294,6 +305,50 @@ def _histogram(n: int, masks: list[tuple[int, int]]) -> bytearray:
                 break
             s = (s - 1) & free
     return counts
+
+
+def _union_size(free: int, cubes: list[tuple[int, int]]) -> int:
+    """Number of subsets x of `free` with lo <= x <= hi for some (lo, hi).
+
+    Shannon expansion on a bit the first cube fixes (in lo, or outside hi):
+    the two halves are disjoint, and each keeps only the cubes that allow
+    its value of the bit.  A cube that fixes no free bit covers the whole
+    half, and a lone cube covers 2^(its unfixed bits).  Every cube must be
+    nonempty (lo <= hi).  The stack depth stays at most the popcount of free.
+    """
+    total = 0
+    stack = [(free, cubes)]
+    while stack:
+        free, cubes = stack.pop()
+        if not cubes:
+            continue
+        lo, hi = cubes[0]
+        fixed = free & (lo | ~hi)
+        if len(cubes) == 1:
+            total += 1 << (free & ~fixed).bit_count()
+            continue
+        if any(not free & (c[0] | ~c[1]) for c in cubes):
+            total += 1 << free.bit_count()
+            continue
+        bit = fixed & -fixed
+        free ^= bit
+        stack.append((free, [c for c in cubes if not c[0] & bit]))  # bit off
+        stack.append((free, [c for c in cubes if c[1] & bit]))  # bit on
+    return total
+
+
+def _meets(masks: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The distinct nonempty pairwise intersections [lo_a|lo_b; hi_a&hi_b]."""
+    out: dict[tuple[int, int], None] = {}
+    for i in range(len(masks)):
+        lo_i, hi_i = masks[i]
+        for j in range(i + 1, len(masks)):
+            lo_j, hi_j = masks[j]
+            lo = lo_i | lo_j
+            hi = hi_i & hi_j
+            if lo & ~hi == 0:
+                out[lo, hi] = None
+    return list(out)
 
 
 def _generators_containing(
@@ -311,10 +366,14 @@ def partition_verdict(C: Cover, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> Par
 
     Method one tests pairwise interval disjointness.  Method two compares the
     summed interval sizes against 2^n, which suffices because the intervals
-    are known to cover every subset.  Up to `oracle_bound` vertices a third,
-    exhaustive per-subset scan also runs and the exact repeated-subset count
-    is reported.  Disagreement between methods raises, since it would mean
-    the cover violates the coverage guarantee it was built under.
+    are known to cover every subset.  Up to `oracle_bound` vertices a third
+    method counts exactly: the union of the intervals must be all 2^n
+    subsets, and the repeated subsets are the union of the pairwise interval
+    intersections, whose size is reported.  Both unions are counted by
+    splitting on fixed bits, so no per-subset table is built; the bound only
+    decides whether the exact count is reported.  Disagreement between
+    methods raises, since it would mean the cover violates the coverage
+    guarantee it was built under.
     """
     masks = _interval_masks(C)
     overlap = _overlap(masks)
@@ -325,16 +384,17 @@ def partition_verdict(C: Cover, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> Par
     witness = None
     repeated: int | None = None
     if C.n <= oracle_bound:
-        counts = _histogram(C.n, masks)
-        zero = counts.count(0)
-        if zero:
-            raise RuntimeError(f"cover misses {zero} subsets; coverage violated")
-        repeated = len(counts) - counts.count(1)
-        exhaustive_partition = repeated == 0
-        if exhaustive_partition != pairwise_partition or exhaustive_partition != size_partition:
+        full = (1 << C.n) - 1
+        missed = full + 1 - _union_size(full, masks)
+        if missed:
+            raise RuntimeError(f"cover misses {missed} subsets; coverage violated")
+        meets = [] if pairwise_partition else _meets(masks)
+        repeated = _union_size(full, meets)
+        exact_partition = repeated == 0
+        if exact_partition != pairwise_partition or exact_partition != size_partition:
             raise RuntimeError("partition methods disagree on a covered lattice")
-        if not exhaustive_partition:
-            x = next(i for i, c in enumerate(counts) if c >= 2)
+        if not exact_partition:
+            x = min(lo for lo, _ in meets)
             gens = _generators_containing(C, masks, x)
             witness = RepeatWitness(set_of(x), gens[0], gens[1])
     else:
@@ -358,6 +418,7 @@ def repeated_subsets_detail(
     C: Cover, oracle_bound: int = DEFAULT_ORACLE_BOUND
 ) -> list[tuple[frozenset[int], list[frozenset[int]]]]:
     """Every subset lying in two or more intervals, with its generators."""
+    _check_oracle_bound(oracle_bound)
     if C.n > oracle_bound:
         raise ValueError(f"exhaustive scan refused for n={C.n} > {oracle_bound}")
     masks = _interval_masks(C)

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 malformed input or domain error, 2 a verification
-or partition promise failed, 64 usage error.  All reports are JSON on
-standard output except `generate`, which emits the edge-list text format.
+or partition promise failed, 3 internal error (a cross-check inside the
+library failed), 64 usage error.  All reports are JSON on standard output
+except `generate`, which emits the edge-list text format.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .io import (
 from .pruned import pruned_instance, pruned_partition
 from .verify import FAMILIES, verify_all, verify_family
 
+INTERNAL_ERROR = 3
 USAGE_ERROR = 64
 
 
@@ -322,6 +324,9 @@ def run(argv: Sequence[str]) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 def main() -> None:

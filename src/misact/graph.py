@@ -216,27 +216,38 @@ def is_maximal_independent(G: Graph, S: Iterable[int]) -> bool:
 
 
 def _mis_by_pivot(G: Graph) -> list[int]:
-    """Maximal cliques of the complement graph, found with a pivoting search."""
+    """Maximal cliques of the complement graph, found with a pivoting search.
+
+    The search runs on an explicit stack of frames [r, p, x, candidates], so
+    its depth (one level per member) is not bounded by Python's recursion
+    limit.  Each frame takes its candidates in ascending label order.
+    """
     n = G.n
     full = G.full_mask
     comp = [0] * (n + 1)
     for v in range(1, n + 1):
         comp[v] = full & ~G.adj_mask[v] & ~(1 << (v - 1))
     out: list[int] = []
-
-    def expand(r: int, p: int, x: int) -> None:
-        if not p and not x:
+    stack: list[list[int]] = []
+    r, p, x = 0, full, 0
+    while True:
+        if p or x:
+            pivot = max(_bits(p | x), key=lambda u: (p & comp[u]).bit_count())
+            stack.append([r, p, x, p & ~comp[pivot]])
+        else:
             out.append(r)
-            return
-        pivot = max(_bits(p | x), key=lambda u: (p & comp[u]).bit_count())
-        for v in _bits(p & ~comp[pivot]):
-            bit = 1 << (v - 1)
-            expand(r | bit, p & comp[v], x & comp[v])
-            p &= ~bit
-            x |= bit
-
-    expand(0, full, 0)
-    return out
+        while stack and not stack[-1][3]:
+            stack.pop()
+        if not stack:
+            return out
+        frame = stack[-1]
+        r, p, x, cand = frame
+        bit = cand & -cand
+        frame[1] = p & ~bit
+        frame[2] = x | bit
+        frame[3] = cand ^ bit
+        v = bit.bit_length()
+        r, p, x = r | bit, p & comp[v], x & comp[v]
 
 
 def _mis_masks(G: Graph) -> list[int]:

@@ -12,6 +12,7 @@ from typing import Sequence
 
 from .activities import (
     DEFAULT_ORACLE_BOUND,
+    _check_oracle_bound,
     _locate_generator_mask,
     _subset_histogram,
     cover,
@@ -62,8 +63,10 @@ def verify_all(G: Graph, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> list[Check
     """Run the library's invariants on one graph.
 
     Exhaustive subset passes run only up to `oracle_bound` vertices; beyond
-    that the coverage and location checks are skipped with a note.
+    that the coverage and location checks are skipped with a note.  A bound
+    above MAX_ORACLE_BOUND raises ValueError before anything is computed.
     """
+    _check_oracle_bound(oracle_bound)
     out: list[CheckResult] = []
     c = cover(G)
 

@@ -25,7 +25,7 @@ from misact import (
     subs,
     subset_multiplicity,
 )
-from misact.activities import Cover
+from misact.activities import MAX_ORACLE_BOUND, Cover
 from misact.graph import Interval, set_of
 
 from reference import (
@@ -239,6 +239,12 @@ class TestMultiplicityAndVerdict:
         assert [sorted(x) for x, _ in detail] == [[4], [4, 5]]
         for _, gens in detail:
             assert sorted(map(sorted, gens)) == [[3, 5], [4]]
+
+    def test_repeated_detail_bound_above_limit_rejected(self):
+        c = cover(dense_five_overlapping())  # small: the bound alone is refused
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            repeated_subsets_detail(c, oracle_bound=MAX_ORACLE_BOUND + 1)
+        assert len(repeated_subsets_detail(c, oracle_bound=MAX_ORACLE_BOUND)) == 2
 
     def test_intersect_predicate(self):
         a = Interval(frozenset({1}), frozenset({1, 2, 3}))

@@ -249,6 +249,27 @@ class TestExitCodes:
         assert report["repeated_subsets"] == 128
         assert report["int_equals_tree_leaves"] is False
 
+    def test_internal_error_exits_three(self, tmp_path, capsys, monkeypatch):
+        import misact.cli
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("partition methods disagree on a covered lattice")
+
+        monkeypatch.setattr(misact.cli, "partition_verdict", broken)
+        path = write_graph(tmp_path, tailed_triangle())
+        assert run(["partition-check", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "internal error: partition methods disagree on a covered lattice\n"
+        )
+
+    def test_oracle_bound_over_limit(self, tmp_path, capsys):
+        # a small graph, so a missing check would not allocate 2^60 bytes
+        path = write_graph(tmp_path, tailed_triangle())
+        assert run(["verify", path, "--oracle-bound", "60"]) == 1
+        assert capsys.readouterr().err == "error: oracle bound 60 exceeds the limit 30\n"
+
     def test_subprocess_entry_point(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("3 3\n1 2\n1 3\n2 3\n")

@@ -19,7 +19,7 @@ from misact import (
     random_graph,
     relabel,
 )
-from misact.graph import _mis_by_pivot, set_of
+from misact.graph import _mis_by_pivot, _mis_masks, set_of
 
 from reference import brute_mis
 from sample_graphs import (
@@ -158,6 +158,37 @@ class TestEnumeration:
         got = enumerate_maximal_independent_sets(g)
         assert got == sorted((set_of(m) for m in _mis_by_pivot(g)), key=sorted)
         assert all(is_maximal_independent(g, s) for s in got)
+
+    def test_deep_search_without_recursion(self):
+        # one search level per member: 1200 levels on the edgeless graph
+        assert _mis_masks(Graph(1200)) == [(1 << 1200) - 1]
+        g = Graph(1200, [(1, 2), (2, 3)])  # a short path among isolated vertices
+        rest = ((1 << 1200) - 1) & ~0b111
+        assert _mis_masks(g) == [rest | 0b101, rest | 0b010]
+
+    def test_path_counts(self):
+        # maximal independent sets of the path P_n: a(n) = a(n-2) + a(n-3)
+        counts = [1, 1, 2, 2]
+        for n in range(4, 31):
+            counts.append(counts[n - 2] + counts[n - 3])
+        for n in (1, 2, 3, 10, 20, 30):
+            path = Graph(n, [(v, v + 1) for v in range(1, n)])
+            got = _mis_masks(path)
+            assert len(got) == len(set(got)) == counts[n]
+            assert all(is_maximal_independent(path, set_of(m)) for m in got)
+
+    def test_matches_networkx_cliques_of_complement(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(21)
+        for n, p in ((12, 0.3), (20, 0.4), (30, 0.3), (45, 0.5), (60, 0.5), (60, 0.6)):
+            g = random_graph(n, p, rng=rng)
+            h = nx.Graph()
+            h.add_nodes_from(g.vertices)
+            h.add_edges_from(g.edges())
+            cliques = nx.find_cliques(nx.complement(h))
+            expected = sorted((sum(1 << (v - 1) for v in c) for c in cliques),
+                              key=lambda m: sorted(set_of(m)))
+            assert _mis_masks(g) == expected
 
     def test_maximal_iff_on_larger_random_graphs(self):
         rng = random.Random(14)

@@ -1,0 +1,126 @@
+"""Exact union counting in the partition verdict, against the 2^n histogram."""
+
+import random
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from misact import Graph, cover, partition_verdict, random_graph, relabel
+from misact import activities
+from misact.activities import _subset_histogram, _union_size
+from misact.graph import set_of
+from misact.pruned import random_pruned_instance
+
+
+def brute_union_size(n: int, cubes: list[tuple[int, int]]) -> int:
+    return sum(
+        1
+        for x in range(1 << n)
+        if any(lo & ~x == 0 and x & ~hi == 0 for lo, hi in cubes)
+    )
+
+
+def random_cube(rng: random.Random, n: int) -> tuple[int, int]:
+    lo = rng.getrandbits(n) & rng.getrandbits(n)
+    return lo, lo | rng.getrandbits(n)
+
+
+class TestUnionSize:
+    def test_edge_cases(self):
+        assert _union_size(0, []) == 0
+        assert _union_size(0, [(0, 0)]) == 1  # n = 0: the one empty subset
+        assert _union_size(0b1111, []) == 0
+        assert _union_size(0b1111, [(0, 0b1111)]) == 16  # the full cube
+        assert _union_size(0b1111, [(0b0101, 0b0101)]) == 1  # a single point
+        assert _union_size(0b1111, [(0b0001, 0b1111), (0, 0b1111)]) == 16
+        assert _union_size(0b111, [(0b001, 0b011)] * 3) == 2  # repeats count once
+
+    def test_matches_brute_force_on_random_cubes(self):
+        rng = random.Random(11)
+        for _ in range(400):
+            n = rng.randint(0, 9)
+            cubes = [random_cube(rng, n) for _ in range(rng.randint(0, 14))]
+            assert _union_size((1 << n) - 1, cubes) == brute_union_size(n, cubes)
+
+    def test_many_small_cubes(self):
+        rng = random.Random(12)
+        n = 12
+        cubes = []
+        for _ in range(300):  # cubes with 2-4 free bits, so the union is ragged
+            lo = rng.getrandbits(n)
+            free = 0
+            for b in rng.sample(range(n), rng.randint(2, 4)):
+                free |= 1 << b
+            cubes.append((lo & ~free, lo | free))
+        assert _union_size((1 << n) - 1, cubes) == brute_union_size(n, cubes)
+
+
+def histogram_verdict(C):
+    """(repeated count, witness subset, its first two generators) from the 2^n scan."""
+    counts = _subset_histogram(C)
+    assert counts.count(0) == 0
+    repeated = len(counts) - counts.count(1)
+    if not repeated:
+        return 0, None
+    x = next(i for i, c in enumerate(counts) if c >= 2)
+    gens = [e.generator for e in C.entries if e.interval.contains(set_of(x))]
+    return repeated, (set_of(x), gens[0], gens[1])
+
+
+def assert_matches_histogram(C):
+    v = partition_verdict(C)
+    repeated, witness = histogram_verdict(C)
+    assert v.repeated_subset_count == repeated
+    assert v.is_partition == (repeated == 0)
+    assert (tuple(v.witness) if v.witness else None) == witness
+
+
+@st.composite
+def relabelled_graphs(draw, max_n: int = 12):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = list(combinations(range(1, n + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=3 * n)) if pairs else []
+    perm = draw(st.permutations(range(1, n + 1)))
+    return relabel(Graph(n, edges), perm)
+
+
+class TestVerdictAgainstHistogram:
+    @settings(max_examples=80, deadline=None)
+    @given(relabelled_graphs())
+    def test_count_and_witness_match(self, g):
+        assert_matches_histogram(cover(g))
+
+    def test_seeded_non_partition_at_n21(self):
+        g = random_graph(21, 0.3, seed=1)
+        c = cover(g)
+        assert not partition_verdict(c).is_partition
+        assert_matches_histogram(c)
+
+
+class TestVerdictWithoutHistogram:
+    @pytest.fixture(autouse=True)
+    def no_histogram(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("partition_verdict built the 2^n histogram")
+
+        monkeypatch.setattr(activities, "_histogram", refuse)
+
+    def test_partition(self):
+        tree = random_pruned_instance(random.Random(6), max_vertices=24).tree
+        assert tree.n == 23
+        v = partition_verdict(cover(tree))
+        assert v.is_partition and v.repeated_subset_count == 0 and v.witness is None
+
+    def test_non_partition(self):
+        g = random_graph(23, 0.3, seed=3)
+        c = cover(g)
+        v = partition_verdict(c)
+        assert not v.is_partition
+        assert v.repeated_subset_count == 4292224  # the histogram's count
+        assert v.witness.subset == frozenset()  # its smallest repeated subset
+        excess = sum(e.interval.size() for e in c.entries) - (1 << g.n)
+        assert 0 < v.repeated_subset_count <= excess
+        gens = [e for e in c.entries if e.interval.contains(v.witness.subset)]
+        assert [e.generator for e in gens[:2]] == [v.witness.generator_a,
+                                                   v.witness.generator_b]

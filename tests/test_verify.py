@@ -1,6 +1,9 @@
 """The invariant harness across fixture, random, and family targets."""
 
+import pytest
+
 from misact import random_graph, verify_all, verify_family
+from misact.activities import MAX_ORACLE_BOUND
 
 from sample_graphs import (
     dense_five_partition,
@@ -46,6 +49,12 @@ class TestVerifyAll:
         checks = by_name(verify_all(random_graph(9, 0.4, seed=1), oracle_bound=5))
         assert "skipped" in checks["coverage"].detail
         assert checks["externally_complete_unique"].passed
+
+    def test_oracle_bound_above_limit_rejected(self):
+        g = dense_five_partition()  # small: the bound alone is refused
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            verify_all(g, oracle_bound=MAX_ORACLE_BOUND + 1)
+        assert all(c.passed for c in verify_all(g, oracle_bound=MAX_ORACLE_BOUND))
 
 
 class TestVerifyFamily:
