@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .activities import cover, ext_active, int_active, partition_verdict
+from .activities import Cover, cover, ext_active, int_active, partition_verdict
 from .graph import (
     Graph,
     enumerate_maximal_independent_sets,
@@ -72,11 +72,11 @@ def is_internally_complete(G: Graph, A: Iterable[int]) -> bool:
 
 def enumerate_internally_complete(G: Graph) -> list[frozenset[int]]:
     """All internally complete sets, in canonical order."""
-    return [
-        A
-        for A in enumerate_maximal_independent_sets(G)
-        if int_active(G, A) == A
-    ]
+    return _internally_complete(cover(G))
+
+
+def _internally_complete(C: Cover) -> list[frozenset[int]]:
+    return [e.generator for e in C.entries if e.int_mask == e.mis_mask]
 
 
 def is_complete(G: Graph, A: Iterable[int]) -> bool:
@@ -114,14 +114,15 @@ def partition_obstructions(G: Graph) -> list[Obstruction]:
     mismatch would be a soundness bug, hence the hard error.
     """
     out: list[Obstruction] = []
+    c = cover(G)
     comp = find_complete(G)
-    if comp is not None and len(enumerate_maximal_independent_sets(G)) >= 2:
+    if comp is not None and len(c.entries) >= 2:
         out.append(Obstruction("complete_set_exists", (comp,)))
-    internals = enumerate_internally_complete(G)
+    internals = _internally_complete(c)
     if len(internals) >= 2:
         out.append(Obstruction("two_internally_complete", tuple(internals)))
     if out:
-        verdict = partition_verdict(cover(G))
+        verdict = partition_verdict(c)
         if verdict.is_partition:
             raise RuntimeError("obstruction found but cover is a partition")
     return out

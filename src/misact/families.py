@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .activities import ActivityReport, Cover, cover
-from .graph import Graph, Interval
+from .graph import Graph, mask_of
 
 __all__ = [
     "SdsDecomposition",
@@ -225,10 +225,7 @@ def colex_neighborhoods(n: int, m: int) -> dict[int, frozenset[int]]:
 
 
 def _entry(gen, int_, ext) -> ActivityReport:
-    gen, int_, ext = frozenset(gen), frozenset(int_), frozenset(ext)
-    return ActivityReport(
-        generator=gen, int_=int_, ext=ext, interval=Interval(gen - int_, gen | ext)
-    )
+    return ActivityReport(mask_of(gen), mask_of(int_), mask_of(ext))
 
 
 def _rng(a: int, b: int) -> frozenset[int]:

@@ -221,15 +221,20 @@ def _mis_by_pivot(G: Graph) -> list[int]:
     The search runs on an explicit stack of frames [r, p, x, candidates], so
     its depth (one level per member) is not bounded by Python's recursion
     limit.  Each frame takes its candidates in ascending label order.
+    Isolated vertices lie in every maximal independent set, so the search
+    starts with them in r and runs on the other vertices only.
     """
     n = G.n
     full = G.full_mask
     comp = [0] * (n + 1)
+    isolated = 0
     for v in range(1, n + 1):
         comp[v] = full & ~G.adj_mask[v] & ~(1 << (v - 1))
+        if not G.adj_mask[v]:
+            isolated |= 1 << (v - 1)
     out: list[int] = []
     stack: list[list[int]] = []
-    r, p, x = 0, full, 0
+    r, p, x = isolated, full & ~isolated, 0
     while True:
         if p or x:
             pivot = max(_bits(p | x), key=lambda u: (p & comp[u]).bit_count())

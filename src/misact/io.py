@@ -9,10 +9,11 @@ deterministic byte for byte for identical inputs.
 from __future__ import annotations
 
 import json
+from functools import cache
 from typing import Any
 
 from .activities import Cover, PartitionVerdict
-from .graph import Graph
+from .graph import Graph, _bits
 
 __all__ = [
     "EdgeListError",
@@ -89,11 +90,11 @@ def cover_report(C: Cover, verdict: PartitionVerdict) -> dict[str, Any]:
         "n": C.n,
         "entries": [
             {
-                "mis": _vl(e.generator),
-                "int": _vl(e.int_),
-                "ext": _vl(e.ext),
-                "lower": _vl(e.interval.lower),
-                "upper": _vl(e.interval.upper),
+                "mis": list(_bits(e.mis_mask)),
+                "int": list(_bits(e.int_mask)),
+                "ext": list(_bits(e.ext_mask)),
+                "lower": list(_bits(e.lower_mask)),
+                "upper": list(_bits(e.upper_mask)),
             }
             for e in C.entries
         ],
@@ -119,4 +120,45 @@ def verdict_report(verdict: PartitionVerdict) -> dict[str, Any]:
 
 
 def to_json(payload: dict[str, Any]) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """`json.dumps(payload, indent=2) + "\n"`, byte for byte.
+
+    CPython runs its C encoder only without indentation, so the containers
+    are laid out here and keys and scalars go to `json.dumps`.  A list of
+    plain ints, such as a vertex list, is joined in one step.  Keys must be
+    strings.
+    """
+    out: list[str] = []
+    digits = cache(str)  # vertex labels repeat: convert each once per call
+
+    def encode(value: Any, nl: str) -> None:
+        inner = nl + "  "
+        if isinstance(value, (list, tuple)):
+            if not value:
+                out.append("[]")
+            elif set(map(type, value)) == {int}:  # not bools: True == 1
+                out.append("[" + inner + ("," + inner).join(map(digits, value)) + nl + "]")
+            else:
+                sep = "[" + inner
+                for item in value:
+                    out.append(sep)
+                    encode(item, inner)
+                    sep = "," + inner
+                out.append(nl + "]")
+        elif isinstance(value, dict):
+            if not value:
+                out.append("{}")
+                return
+            sep = "{" + inner
+            for key, item in value.items():
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                out.append(sep + json.dumps(key) + ": ")
+                encode(item, inner)
+                sep = "," + inner
+            out.append(nl + "}")
+        else:
+            out.append(json.dumps(value))
+
+    encode(payload, "\n")
+    out.append("\n")
+    return "".join(out)

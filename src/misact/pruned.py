@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .activities import Cover, PartitionVerdict, cover, partition_verdict
-from .graph import Graph, is_independent, is_maximal_independent, relabel
+from .graph import Graph, is_independent, is_maximal_independent, mask_of, relabel, set_of
 
 __all__ = [
     "RootedLevels",
@@ -341,21 +341,16 @@ def pruned_partition(
             f"level labelling violated: vertex {bad[0]} is shallower than {bad[1]} "
             "but has the larger label"
         )
-    L = instance.leaf_set(leaf_mode)
-    tree_leaves = instance.leaf_set_tree
+    keep = ~mask_of(instance.leaf_set(leaf_mode))
+    tree_leaves = mask_of(instance.leaf_set_tree)
     c = cover(instance.host)
-    f_lowers = tuple(e.generator - L for e in c.entries)
     return PrunedPartitionReport(
         cover=c,
         verdict=partition_verdict(c),
         leaf_mode=leaf_mode,
-        f_lowers=f_lowers,
-        lower_matches_f=all(
-            e.interval.lower == fl for e, fl in zip(c.entries, f_lowers)
-        ),
-        int_equals_tree_leaves=all(
-            e.int_ == e.generator & tree_leaves for e in c.entries
-        ),
+        f_lowers=tuple(set_of(e.mis_mask & keep) for e in c.entries),
+        lower_matches_f=all(e.lower_mask == e.mis_mask & keep for e in c.entries),
+        int_equals_tree_leaves=all(e.int_mask == e.mis_mask & tree_leaves for e in c.entries),
     )
 
 

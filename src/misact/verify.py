@@ -41,7 +41,7 @@ from .families import (
     predicted_cover_kn,
     predicted_cover_lex,
 )
-from .graph import Graph, enumerate_maximal_independent_sets, mask_of, set_of
+from .graph import Graph, enumerate_maximal_independent_sets, set_of
 
 __all__ = ["CheckResult", "verify_all", "verify_family"]
 
@@ -89,12 +89,7 @@ def verify_all(G: Graph, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> list[Check
             b = _locate_generator_mask(G, x)
             if b not in reports:
                 rep = interval_of(G, set_of(b))
-                reports[b] = (
-                    mask_of(rep.interval.lower),
-                    mask_of(rep.interval.upper),
-                    mask_of(rep.ext),
-                    mask_of(rep.int_),
-                )
+                reports[b] = (rep.lower_mask, rep.upper_mask, rep.ext_mask, rep.int_mask)
             lo, hi, ext_m, int_m = reports[b]
             if lo & ~x or x & ~hi or (x & ~b) & ~ext_m or (b & ~x) & ~int_m:
                 bad_locate = x

@@ -48,8 +48,8 @@ from sample_graphs import (
 
 
 @st.composite
-def graphs(draw, max_n: int = 8):
-    n = draw(st.integers(min_value=1, max_value=max_n))
+def graphs(draw, max_n: int = 8, min_n: int = 1):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     pairs = list(combinations(range(1, n + 1), 2))
     edges = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
     return Graph(n, edges)
@@ -176,6 +176,26 @@ class TestCover:
         c = cover(Graph(1))
         assert len(c.entries) == 1
         assert c.entries[0].interval == Interval(frozenset(), frozenset({1}))
+
+    @settings(max_examples=40, deadline=None)
+    @given(graphs(min_n=9, max_n=14))
+    def test_entries_match_brute_force_beyond_n8(self, g):
+        for e in cover(g).entries:
+            A = e.generator
+            assert e.int_ == brute_int(g, A)
+            assert e.ext == brute_ext(g, A)
+            assert e.lower == A - e.int_
+            assert e.upper == A | e.ext
+            assert e.interval == (e.lower, e.upper)
+            assert e.mis_mask == sum(1 << (v - 1) for v in A)
+
+    def test_multiplicity_of(self):
+        g = dense_five_overlapping()
+        c = cover(g)
+        for X in subsets(g.n):
+            assert c.multiplicity_of(X) == brute_multiplicity(g, X)
+        assert c.multiplicity_of({1, 6}) == 0  # a label outside 1..n
+        assert c.multiplicity_of({0}) == 0
 
 
 class TestLocateGenerator:

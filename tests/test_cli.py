@@ -6,10 +6,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from misact import Graph, emit_edge_list, parse_edge_list, random_graph
 from misact.cli import run
-from misact.io import EdgeListError
+from misact.io import EdgeListError, to_json
 
 from sample_graphs import (
     dense_five_overlapping,
@@ -69,6 +70,48 @@ class TestEdgeListFormat:
                    for _ in range(20)]
         for g in graphs:
             assert parse_edge_list(emit_edge_list(g)) == g
+
+
+TRICKY_TEXT = st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f aZ\u00e9\u2028\u20ac\U0001f600')
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(1 << 200), max_value=1 << 200)
+    | st.floats()
+    | st.text()
+    | TRICKY_TEXT
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (
+        st.lists(inner)
+        | st.lists(st.integers() | st.booleans())
+        | st.dictionaries(st.text() | TRICKY_TEXT, inner)
+    ),
+    max_leaves=20,
+)
+
+
+class TestToJson:
+    @settings(max_examples=150, deadline=None)
+    @given(JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert to_json(value) == json.dumps(value, indent=2) + "\n"
+
+    def test_bools_are_not_ints(self):
+        assert to_json({"v": [1, True, False, 0]}) == (
+            '{\n  "v": [\n    1,\n    true,\n    false,\n    0\n  ]\n}\n'
+        )
+        assert to_json([True]) == "[\n  true\n]\n"
+
+    def test_empty_containers_and_tuples(self):
+        value = {"a": [], "b": {}, "c": (3, 1), "d": [[], {}]}
+        assert to_json(value) == json.dumps(value, indent=2) + "\n"
+
+    def test_non_string_key_refused(self):
+        with pytest.raises(TypeError, match="keys must be str"):
+            to_json({1: 2})
 
 
 class TestCliCommands:

@@ -166,6 +166,19 @@ class TestEnumeration:
         rest = ((1 << 1200) - 1) & ~0b111
         assert _mis_masks(g) == [rest | 0b101, rest | 0b010]
 
+    def test_isolated_vertices_match_brute_mis(self):
+        # isolated vertices seed every search; the rest is enumerated as usual
+        assert _mis_masks(Graph(0)) == [0]
+        assert enumerate_maximal_independent_sets(Graph(5)) == brute_mis(Graph(5))
+        rng = random.Random(26)
+        for _ in range(60):
+            n = rng.randint(1, 11)
+            isolated = {v for v in range(1, n + 1) if rng.random() < 0.4}
+            edges = [(u, v) for u, v in random_graph(n, rng.random(), rng=rng).edges()
+                     if u not in isolated and v not in isolated]
+            g = Graph(n, edges)
+            assert enumerate_maximal_independent_sets(g) == brute_mis(g)
+
     def test_path_counts(self):
         # maximal independent sets of the path P_n: a(n) = a(n-2) + a(n-3)
         counts = [1, 1, 2, 2]
