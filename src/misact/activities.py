@@ -506,6 +506,15 @@ class LabellingSearchResult:
     seed: int | None
 
 
+def _shuffles(n: int, count: int, rng: random.Random) -> Iterator[tuple[int, ...]]:
+    """The identity, then `count - 1` seeded shuffles of 1..n."""
+    yield tuple(range(1, n + 1))
+    for _ in range(count - 1):
+        p = list(range(1, n + 1))
+        rng.shuffle(p)
+        yield tuple(p)
+
+
 def search_labelling(
     G: Graph,
     budget: int | None = None,
@@ -528,46 +537,31 @@ def search_labelling(
     if G.n > DEFAULT_ORACLE_BOUND:
         raise ValueError("labelling search needs exact repeat counts; graph too large")
 
-    def score(perm: tuple[int, ...]) -> PartitionVerdict:
-        return partition_verdict(cover(relabel(G, perm)))
-
-    best_perm: tuple[int, ...] | None = None
-    best: PartitionVerdict | None = None
-    trials = 0
-
     if mode == "exhaustive":
         if G.n > factorial_bound:
             raise ValueError(
                 f"exhaustive search over {G.n}! labellings refused; "
                 f"bound is {factorial_bound}!"
             )
-        for perm in permutations(range(1, G.n + 1)):
-            v = score(perm)
-            trials += 1
-            if best is None or v.repeated_subset_count < best.repeated_subset_count:
-                best_perm, best = perm, v
-            if best.repeated_subset_count == 0:
-                break
+        candidates: Iterable[tuple[int, ...]] = permutations(range(1, G.n + 1))
     else:
         if budget is None:
             raise ValueError("random mode needs a trial budget")
         if seed is None:
             seed = 0
-        rng = random.Random(seed)
-        candidates = [tuple(range(1, G.n + 1))]  # identity baseline first
-        while len(candidates) < budget:
-            p = list(range(1, G.n + 1))
-            rng.shuffle(p)
-            candidates.append(tuple(p))
-        for perm in candidates:
-            v = score(perm)
-            trials += 1
-            if (
-                best is None
-                or v.repeated_subset_count < best.repeated_subset_count
-                or (v.repeated_subset_count == best.repeated_subset_count and perm < best_perm)
-            ):
-                best_perm, best = perm, v
+        candidates = _shuffles(G.n, budget, random.Random(seed))
+
+    best_perm: tuple[int, ...] | None = None
+    best: PartitionVerdict | None = None
+    trials = 0
+    for perm in candidates:
+        v = partition_verdict(cover(relabel(G, perm)))
+        trials += 1
+        key = (v.repeated_subset_count, perm)
+        if best is None or key < (best.repeated_subset_count, best_perm):
+            best_perm, best = perm, v
+        if mode == "exhaustive" and best.is_partition:
+            break
 
     assert best_perm is not None and best is not None
     return LabellingSearchResult(

@@ -20,34 +20,18 @@ from .activities import (
     search_labelling,
 )
 from .complete import (
-    enumerate_internally_complete,
+    _internally_complete,
+    _obstructions,
+    enumerate_internally_complete,  # noqa: F401  bench/spans.py traces it here
     externally_complete,
     find_complete,
-    partition_obstructions,
+    partition_obstructions,  # noqa: F401  bench/spans.py traces it here
 )
-from .families import (
-    colex_graph,
-    complete_graph,
-    kn_plus_em,
-    kn_with_pendants,
-    lex_graph,
-    pendant_partition_predicate,
-    predicted_cover_colex,
-    predicted_cover_join,
-    predicted_cover_kn,
-    predicted_cover_lex,
-)
+from .families import FAMILIES
 from .graph import Graph
-from .io import (
-    EdgeListError,
-    cover_report,
-    emit_edge_list,
-    parse_edge_list,
-    to_json,
-    verdict_report,
-)
+from .io import cover_report, emit_edge_list, parse_edge_list, to_json, verdict_report
 from .pruned import pruned_instance, pruned_partition
-from .verify import FAMILIES, verify_all, verify_family
+from .verify import verify_all, verify_family
 
 INTERNAL_ERROR = 3
 USAGE_ERROR = 64
@@ -82,18 +66,13 @@ def _parse_sizes(raw: str) -> list[int]:
         raise ValueError(f"sizes must be comma-separated integers, got {raw!r}") from None
 
 
-def _family_graph(args: argparse.Namespace) -> Graph:
-    fam = args.family
-    if fam == "kn":
-        return complete_graph(_need(args, "n"))
-    if fam == "join":
-        return kn_plus_em(_need(args, "n"), _need(args, "m"))
-    if fam == "pendant":
+def _family_values(args: argparse.Namespace) -> dict:
+    """The family's parameters by name; a pendant clique has one vertex per block."""
+    params = FAMILIES[args.family].params
+    if "sizes" in params:
         sizes = _parse_sizes(_need(args, "sizes"))
-        return kn_with_pendants(len(sizes), sizes)
-    if fam == "lex":
-        return lex_graph(_need(args, "n"), _need(args, "m"))
-    return colex_graph(_need(args, "n"), _need(args, "m"))
+        return {"n": len(sizes), "sizes": sizes}
+    return {p: _need(args, p) for p in params}
 
 
 def _need(args: argparse.Namespace, name: str):
@@ -120,15 +99,16 @@ def _cmd_partition_check(args: argparse.Namespace) -> int:
 def _cmd_complete_sets(args: argparse.Namespace) -> int:
     G = _read_graph(args.file)
     comp = find_complete(G)
-    verdict = partition_verdict(cover(G))
+    c = cover(G)
+    verdict = partition_verdict(c)
     report = {
         "n": G.n,
         "externally_complete": sorted(externally_complete(G)),
-        "internally_complete": [sorted(s) for s in enumerate_internally_complete(G)],
+        "internally_complete": [sorted(s) for s in _internally_complete(c)],
         "complete": sorted(comp) if comp is not None else None,
         "obstructions": [
             {"kind": o.kind, "witnesses": [sorted(w) for w in o.witnesses]}
-            for o in partition_obstructions(G)
+            for o in _obstructions(G, c, verdict)
         ],
         "is_partition": verdict.is_partition,
     }
@@ -137,46 +117,34 @@ def _cmd_complete_sets(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    _emit(emit_edge_list(_family_graph(args)), args.out)
+    _emit(emit_edge_list(FAMILIES[args.family].graph(**_family_values(args))), args.out)
     return 0
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    fam = args.family
-    if fam == "pendant":
-        sizes = _parse_sizes(_need(args, "sizes"))
-        predicted = pendant_partition_predicate(sizes)
-        computed = partition_verdict(cover(kn_with_pendants(len(sizes), sizes)))
-        report = {
-            "family": fam,
-            "sizes": sizes,
-            "predicted_partition": predicted,
-            "computed_partition": computed.is_partition,
-            "verified": predicted == computed.is_partition,
-        }
-        _emit(to_json(report), args.out)
-        return 0 if report["verified"] else 2
-
-    G = _family_graph(args)
-    if fam == "kn":
-        predicted = predicted_cover_kn(args.n)
-    elif fam == "join":
-        predicted = predicted_cover_join(args.n, args.m)
-    elif fam == "lex":
-        predicted = predicted_cover_lex(args.n, args.m)
-    else:
-        predicted = predicted_cover_colex(args.n, args.m)
-    computed = cover(G)
+    fam = FAMILIES[args.family]
+    values = _family_values(args)
+    computed = cover(fam.graph(**values))
     verdict = partition_verdict(computed)
-    verified = predicted.entries == computed.entries and verdict.is_partition
-    report = {
-        "family": fam,
-        "params": {"n": args.n, "m": args.m},
-        **cover_report(predicted, verdict),
-        "verified": verified,
-    }
+    if fam.cover is None:
+        predicted = fam.partition(values["sizes"])
+        report = {
+            "family": args.family,
+            "sizes": values["sizes"],
+            "predicted_partition": predicted,
+            "computed_partition": verdict.is_partition,
+            "verified": predicted == verdict.is_partition,
+        }
+    else:
+        predicted = fam.cover(**values)
+        report = {
+            "family": args.family,
+            "params": {"n": args.n, "m": args.m},
+            **cover_report(predicted, verdict),
+            "verified": predicted.entries == computed.entries and verdict.is_partition,
+        }
     _emit(to_json(report), args.out)
-    return 0 if verified else 2
+    return 0 if report["verified"] else 2
 
 
 def _cmd_pruned(args: argparse.Namespace) -> int:
@@ -275,7 +243,7 @@ def _build_parser() -> _Parser:
 
     for name, func in (("generate", _cmd_generate), ("predict", _cmd_predict)):
         p = add(name, func, help=f"{name} a graph family instance")
-        p.add_argument("family", choices=FAMILIES)
+        p.add_argument("family", choices=tuple(FAMILIES))
         p.add_argument("--n", type=int)
         p.add_argument("--m", type=int)
         p.add_argument("--sizes", help="comma-separated pendant block sizes")
@@ -294,7 +262,7 @@ def _build_parser() -> _Parser:
 
     p = add("verify", _cmd_verify, help="run invariant or family checks")
     p.add_argument("file", nargs="?")
-    p.add_argument("--family", choices=FAMILIES)
+    p.add_argument("--family", choices=tuple(FAMILIES))
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--sizes")
@@ -307,21 +275,13 @@ def _build_parser() -> _Parser:
 
 
 def run(argv: Sequence[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (EdgeListError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # EdgeListError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .activities import Cover, cover, ext_active, int_active, partition_verdict
+from .activities import Cover, PartitionVerdict, cover, ext_active, int_active, partition_verdict
 from .graph import (
     Graph,
     enumerate_maximal_independent_sets,
@@ -113,18 +113,21 @@ def partition_obstructions(G: Graph) -> list[Obstruction]:
     present the computed verdict is cross-checked to be a non-partition; a
     mismatch would be a soundness bug, hence the hard error.
     """
-    out: list[Obstruction] = []
     c = cover(G)
+    return _obstructions(G, c, partition_verdict(c))
+
+
+def _obstructions(G: Graph, C: Cover, verdict: PartitionVerdict) -> list[Obstruction]:
+    """partition_obstructions on G's cover C and its verdict."""
+    out: list[Obstruction] = []
     comp = find_complete(G)
-    if comp is not None and len(c.entries) >= 2:
+    if comp is not None and len(C.entries) >= 2:
         out.append(Obstruction("complete_set_exists", (comp,)))
-    internals = _internally_complete(c)
+    internals = _internally_complete(C)
     if len(internals) >= 2:
         out.append(Obstruction("two_internally_complete", tuple(internals)))
-    if out:
-        verdict = partition_verdict(c)
-        if verdict.is_partition:
-            raise RuntimeError("obstruction found but cover is a partition")
+    if out and verdict.is_partition:
+        raise RuntimeError("obstruction found but cover is a partition")
     return out
 
 

@@ -4,19 +4,22 @@ cliques with pendants, and the lex/colex graphs.
 Each constructor fixes the canonical labelling under which the closed-form
 cover is valid (clique first, attachments after).  The predicted covers are
 built entry for entry and are meant to equal the computed ones exactly;
-callers cross-check rather than trust.
+callers cross-check rather than trust.  `FAMILIES` names each family and
+holds everything the CLI and the verifier know about it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .activities import ActivityReport, Cover, cover
+from .activities import ActivityReport, Cover
 from .graph import Graph, mask_of
 
 __all__ = [
+    "FAMILIES",
+    "Family",
     "SdsDecomposition",
     "SisDecomposition",
     "complete_graph",
@@ -245,11 +248,11 @@ def predicted_cover_kn(n: int) -> Cover:
 def predicted_cover_join(n: int, m: int) -> Cover:
     """Closed-form cover of the clique-empty join under canonical labels.
 
-    Degenerate shapes (no clique or no empty side) fall back to the computed
-    cover of the constructed graph.
+    Without an empty side the join is the clique itself; without a clique
+    the formula below leaves the single generator 1..m.
     """
-    if n == 0 or m == 0:
-        return cover(kn_plus_em(n, m))
+    if m == 0 and n > 0:
+        return predicted_cover_kn(n)
     total = n + m
     entries = [_entry({i}, (), _rng(i + 1, total)) for i in range(1, n + 1)]
     v2 = _rng(n + 1, total)
@@ -308,3 +311,33 @@ def predicted_cover_colex(n: int, m: int) -> Cover:
             )
         entries.append(_entry({k, k + 1} | iso, {k, k + 1} | iso, ()))
     return Cover(n=n, entries=tuple(entries))
+
+
+@dataclass(frozen=True)
+class Family:
+    """One named family: how to build it and what the paper predicts.
+
+    `graph` and `cover` take the `params` as keyword arguments.  A family
+    has either a closed-form `cover` or, when only partition-hood is known,
+    a `partition` predicate on its pendant-block sizes.  `neighborhoods`
+    maps (n, m) to closed-form neighbourhoods, or to None where the formula
+    does not apply.
+    """
+
+    params: tuple[str, ...]
+    graph: Callable[..., Graph]
+    cover: Callable[..., Cover] | None = None
+    partition: Callable[[Sequence[int]], bool] | None = None
+    neighborhoods: Callable[[int, int], dict[int, frozenset[int]] | None] | None = None
+
+
+FAMILIES: dict[str, Family] = {
+    "kn": Family(("n",), complete_graph, predicted_cover_kn),
+    "join": Family(("n", "m"), kn_plus_em, predicted_cover_join),
+    "pendant": Family(("n", "sizes"), kn_with_pendants,
+                      partition=pendant_partition_predicate),
+    "lex": Family(("n", "m"), lex_graph, predicted_cover_lex,
+                  neighborhoods=lambda n, m: lex_neighborhoods(n, m) if m >= n else None),
+    "colex": Family(("n", "m"), colex_graph, predicted_cover_colex,
+                    neighborhoods=colex_neighborhoods),
+}

@@ -16,6 +16,7 @@ from .activities import Cover, PartitionVerdict
 from .graph import Graph, _bits
 
 __all__ = [
+    "MAX_VERTICES",
     "EdgeListError",
     "parse_edge_list",
     "emit_edge_list",
@@ -23,6 +24,11 @@ __all__ = [
     "verdict_report",
     "to_json",
 ]
+
+
+# Largest header vertex count accepted: a Graph allocates per-vertex tables
+# before any edge is read, so an unchecked header could ask for gigabytes.
+MAX_VERTICES = 100_000
 
 
 class EdgeListError(ValueError):
@@ -50,6 +56,8 @@ def parse_edge_list(text: str) -> Graph:
         raise EdgeListError(f"line {head_no}: header must be two integers") from None
     if n < 0 or m < 0:
         raise EdgeListError(f"line {head_no}: counts must be non-negative")
+    if n > MAX_VERTICES:
+        raise EdgeListError(f"line {head_no}: vertex count {n} exceeds the limit {MAX_VERTICES}")
 
     body = rows[1:]
     if len(body) != m:

@@ -13,39 +13,19 @@ from typing import Sequence
 from .activities import (
     DEFAULT_ORACLE_BOUND,
     _check_oracle_bound,
+    _interval_masks,
     _locate_generator_mask,
     _subset_histogram,
     cover,
     ext_active,
     int_active,
-    interval_of,
     partition_verdict,
 )
-from .complete import (
-    enumerate_internally_complete,
-    externally_complete,
-    internally_complete,
-    partition_obstructions,
-)
-from .families import (
-    colex_graph,
-    colex_neighborhoods,
-    complete_graph,
-    kn_plus_em,
-    kn_with_pendants,
-    lex_graph,
-    lex_neighborhoods,
-    pendant_partition_predicate,
-    predicted_cover_colex,
-    predicted_cover_join,
-    predicted_cover_kn,
-    predicted_cover_lex,
-)
+from .complete import _internally_complete, _obstructions, externally_complete, internally_complete
+from .families import FAMILIES
 from .graph import Graph, enumerate_maximal_independent_sets, set_of
 
 __all__ = ["CheckResult", "verify_all", "verify_family"]
-
-FAMILIES = ("kn", "join", "pendant", "lex", "colex")
 
 
 @dataclass(frozen=True)
@@ -53,10 +33,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def _result(name: str, passed: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name=name, passed=passed, detail=detail)
 
 
 def verify_all(G: Graph, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> list[CheckResult]:
@@ -75,7 +51,7 @@ def verify_all(G: Graph, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> list[Check
         counts = _subset_histogram(c)
         zero = counts.count(0)
         out.append(
-            _result(
+            CheckResult(
                 "coverage",
                 zero == 0,
                 "every subset lies in some interval"
@@ -83,19 +59,16 @@ def verify_all(G: Graph, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> list[Check
                 else f"{zero} subsets uncovered",
             )
         )
+        # the greedy result must be a generator of the cover whose interval holds x
+        intervals = {e.mis_mask: iv for e, iv in zip(c.entries, _interval_masks(c))}
         bad_locate = None
-        reports: dict[int, tuple[int, int, int, int]] = {}
         for x in range(1 << G.n):
-            b = _locate_generator_mask(G, x)
-            if b not in reports:
-                rep = interval_of(G, set_of(b))
-                reports[b] = (rep.lower_mask, rep.upper_mask, rep.ext_mask, rep.int_mask)
-            lo, hi, ext_m, int_m = reports[b]
-            if lo & ~x or x & ~hi or (x & ~b) & ~ext_m or (b & ~x) & ~int_m:
+            iv = intervals.get(_locate_generator_mask(G, x))
+            if iv is None or iv[0] & ~x or x & ~iv[1]:
                 bad_locate = x
                 break
         out.append(
-            _result(
+            CheckResult(
                 "locate_generator",
                 bad_locate is None,
                 "greedy generator contains every subset"
@@ -104,14 +77,14 @@ def verify_all(G: Graph, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> list[Check
             )
         )
     else:
-        out.append(_result("coverage", True, f"skipped: n={G.n} > {oracle_bound}"))
-        out.append(_result("locate_generator", True, f"skipped: n={G.n} > {oracle_bound}"))
+        out.append(CheckResult("coverage", True, f"skipped: n={G.n} > {oracle_bound}"))
+        out.append(CheckResult("locate_generator", True, f"skipped: n={G.n} > {oracle_bound}"))
 
     mis = enumerate_maximal_independent_sets(G)
     ext_complete = [A for A in mis if ext_active(G, A) == G.vertex_set - A]
     algo = externally_complete(G)
     out.append(
-        _result(
+        CheckResult(
             "externally_complete_unique",
             len(ext_complete) == 1 and ext_complete[0] == algo,
             f"greedy gives {sorted(algo)}; scan found "
@@ -121,17 +94,16 @@ def verify_all(G: Graph, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> list[Check
 
     internal = internally_complete(G)
     out.append(
-        _result(
+        CheckResult(
             "internally_complete",
-            int_active(G, internal) == internal
-            and internal in enumerate_internally_complete(G),
+            int_active(G, internal) == internal and internal in _internally_complete(c),
             f"descending greedy gives {sorted(internal)}",
         )
     )
 
     ext_empty_ok = all(int_active(G, A) == A for A in mis if not ext_active(G, A))
     out.append(
-        _result(
+        CheckResult(
             "ext_empty_implies_int_full",
             ext_empty_ok,
             "externally empty sets are internally complete",
@@ -139,10 +111,10 @@ def verify_all(G: Graph, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> list[Check
     )
 
     verdict = partition_verdict(c, oracle_bound=oracle_bound)
-    obstructions = partition_obstructions(G)
+    obstructions = _obstructions(G, c, verdict)
     consistent = not obstructions or not verdict.is_partition
     out.append(
-        _result(
+        CheckResult(
             "obstruction_consistency",
             consistent,
             f"obstructions={[o.kind for o in obstructions]}, "
@@ -158,64 +130,48 @@ def _covers_equal(a, b) -> bool:
 
 def verify_family(family: str, n: int, m: int = 0,
                   sizes: Sequence[int] | None = None) -> list[CheckResult]:
-    """Compare a family's closed-form cover with the computed one."""
-    if family not in FAMILIES:
-        raise ValueError(f"family must be one of {FAMILIES}")
-    out: list[CheckResult] = []
+    """Compare a family's closed-form cover or partition predicate with the computed one."""
+    fam = FAMILIES.get(family)
+    if fam is None:
+        raise ValueError(f"family must be one of {tuple(FAMILIES)}")
+    if "sizes" in fam.params and sizes is None:
+        raise ValueError("pendant family needs the pendant-block sizes")
+    values = {"n": n, "m": m, "sizes": sizes}
+    params = {p: values[p] for p in fam.params}
+    G = fam.graph(**params)
 
-    if family == "pendant":
-        if sizes is None:
-            raise ValueError("pendant family needs the pendant-block sizes")
-        G = kn_with_pendants(n, sizes)
-        predicted = pendant_partition_predicate(sizes)
+    if fam.cover is None:
+        predicted = fam.partition(sizes)
         verdict = partition_verdict(cover(G))
-        out.append(
-            _result(
+        return [
+            CheckResult(
                 "pendant_predicate",
                 predicted == verdict.is_partition,
                 f"predicted partition={predicted}, computed={verdict.is_partition}",
             )
-        )
-        return out
+        ]
 
-    if family == "kn":
-        G, predicted = complete_graph(n), predicted_cover_kn(n)
-    elif family == "join":
-        G, predicted = kn_plus_em(n, m), predicted_cover_join(n, m)
-    elif family == "lex":
-        G, predicted = lex_graph(n, m), predicted_cover_lex(n, m)
-    else:
-        G, predicted = colex_graph(n, m), predicted_cover_colex(n, m)
-
+    predicted = fam.cover(**params)
     computed = cover(G)
-    out.append(
-        _result(
+    out = [
+        CheckResult(
             "predicted_cover",
             _covers_equal(predicted, computed),
             f"{len(predicted.entries)} predicted vs {len(computed.entries)} computed entries",
         )
-    )
+    ]
     verdict = partition_verdict(computed)
     out.append(
-        _result(
+        CheckResult(
             "partition",
             verdict.is_partition,
             f"repeated subsets: {verdict.repeated_subset_count}",
         )
     )
-    if family == "lex" and m >= n:
-        formulas = lex_neighborhoods(n, m)
+    formulas = fam.neighborhoods(n, m) if fam.neighborhoods else None
+    if formulas is not None:
         out.append(
-            _result(
-                "neighborhood_formula",
-                all(formulas[v] == G.adj[v] for v in G.vertices),
-                "closed-form neighbourhoods match adjacency",
-            )
-        )
-    if family == "colex":
-        formulas = colex_neighborhoods(n, m)
-        out.append(
-            _result(
+            CheckResult(
                 "neighborhood_formula",
                 all(formulas[v] == G.adj[v] for v in G.vertices),
                 "closed-form neighbourhoods match adjacency",

@@ -8,9 +8,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import misact.activities
+import misact.cli
+import misact.complete
+import misact.verify
 from misact import Graph, emit_edge_list, parse_edge_list, random_graph
-from misact.cli import run
-from misact.io import EdgeListError, to_json
+from misact.cli import _build_parser, run
+from misact.families import FAMILIES
+from misact.io import MAX_VERTICES, EdgeListError, to_json
 
 from sample_graphs import (
     dense_five_overlapping,
@@ -60,6 +65,15 @@ class TestEdgeListFormat:
     def test_malformed_edge_line(self):
         with pytest.raises(EdgeListError, match="line 3"):
             parse_edge_list("3 2\n1 2\n1 2 3\n")
+
+    def test_vertex_count_over_limit(self):
+        # refused from the header alone, before any per-vertex table exists
+        with pytest.raises(EdgeListError, match=f"line 2: vertex count {MAX_VERTICES + 1}"):
+            parse_edge_list(f"# big\n{MAX_VERTICES + 1} 0\n")
+
+    def test_vertex_count_limit_covers_tested_sizes(self):
+        assert MAX_VERTICES >= 1200
+        assert parse_edge_list("1200 1\n1 1200\n").n == 1200
 
     def test_round_trip_all_fixtures(self):
         import random
@@ -249,6 +263,28 @@ class TestCliCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["all_passed"] is True
 
+    def test_complete_sets_builds_one_cover(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counted(G):
+            calls.append(G.n)
+            return misact.activities.cover(G)
+
+        for mod in (misact.cli, misact.complete, misact.verify):
+            monkeypatch.setattr(mod, "cover", counted)
+        path = write_graph(tmp_path, hub_five())
+        assert run(["complete-sets", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["obstructions"][0]["kind"] == "two_internally_complete"
+        assert calls == [5]
+
+    def test_family_choices_read_the_table(self):
+        parser = _build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        for name in ("generate", "predict", "verify"):
+            family = next(a for a in commands[name]._actions if a.dest == "family")
+            assert family.choices == tuple(FAMILIES)
+
     def test_polynomial(self, tmp_path, capsys):
         path = write_graph(tmp_path, dense_five_overlapping())
         assert run(["polynomial", path]) == 0
@@ -305,6 +341,14 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == (
             "internal error: partition methods disagree on a covered lattice\n"
+        )
+
+    def test_vertex_count_over_limit(self, tmp_path, capsys):
+        path = tmp_path / "big.txt"
+        path.write_text(f"{MAX_VERTICES + 1} 0\n")
+        assert run(["cover", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: line 1: vertex count {MAX_VERTICES + 1} exceeds the limit {MAX_VERTICES}\n"
         )
 
     def test_oracle_bound_over_limit(self, tmp_path, capsys):

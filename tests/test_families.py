@@ -76,9 +76,12 @@ class TestJoinCover:
         assert predicted.entries == computed.entries
         assert partition_verdict(computed).is_partition
 
-    def test_degenerate_sides_fall_back(self):
+    def test_degenerate_shapes_match_computed(self):
         assert predicted_cover_join(0, 3).entries == cover(empty_graph(3)).entries
         assert predicted_cover_join(3, 0).entries == cover(complete_graph(3)).entries
+        # every shape from the empty graph up, including no clique or no empty side
+        for n, m in product(range(8), repeat=2):
+            assert predicted_cover_join(n, m) == cover(kn_plus_em(n, m)), (n, m)
 
     def test_join_construction(self):
         g = join(complete_graph(2), empty_graph(2))

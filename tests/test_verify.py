@@ -2,8 +2,13 @@
 
 import pytest
 
-from misact import random_graph, verify_all, verify_family
+import misact.activities
+import misact.cli
+import misact.complete
+import misact.verify
+from misact import cover, random_graph, verify_all, verify_family
 from misact.activities import MAX_ORACLE_BOUND
+from misact.graph import set_of
 
 from sample_graphs import (
     dense_five_partition,
@@ -55,6 +60,42 @@ class TestVerifyAll:
         with pytest.raises(ValueError, match="exceeds the limit"):
             verify_all(g, oracle_bound=MAX_ORACLE_BOUND + 1)
         assert all(c.passed for c in verify_all(g, oracle_bound=MAX_ORACLE_BOUND))
+
+
+class TestVerifyAllCore:
+    def test_builds_one_cover(self, monkeypatch):
+        calls = []
+
+        def counted(G):
+            calls.append(G.n)
+            return misact.activities.cover(G)
+
+        for mod in (misact.cli, misact.complete, misact.verify):
+            monkeypatch.setattr(mod, "cover", counted)
+        assert all(c.passed for c in verify_all(hub_five()))
+        assert calls == [5]
+
+    def test_locate_reporting_another_generator_fails(self, monkeypatch):
+        g = dense_five_partition()
+        entries = cover(g).entries
+        # entries with and without a lower endpoint, so each side of the check is exercised
+        assert any(e.lower_mask for e in entries) and not all(e.lower_mask for e in entries)
+        for entry in entries:
+            monkeypatch.setattr(misact.verify, "_locate_generator_mask",
+                                lambda G, x: entry.mis_mask)
+            # the first subset, in mask order, outside that generator's interval
+            bad = next(x for x in range(1 << g.n)
+                       if entry.lower_mask & ~x or x & ~entry.upper_mask)
+            check = by_name(verify_all(g))["locate_generator"]
+            assert not check.passed
+            assert check.detail == f"fails for {sorted(set_of(bad))}"
+
+    def test_locate_reporting_a_non_generator_fails(self, monkeypatch):
+        # the empty set is independent but not maximal, so no cover entry has it
+        monkeypatch.setattr(misact.verify, "_locate_generator_mask", lambda G, x: 0)
+        check = by_name(verify_all(hub_five()))["locate_generator"]
+        assert not check.passed
+        assert check.detail == "fails for []"
 
 
 class TestVerifyFamily:
