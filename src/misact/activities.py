@@ -56,8 +56,10 @@ __all__ = [
 
 # Full 2^n subset scans are refused above this bound unless overridden.
 DEFAULT_ORACLE_BOUND = 25
-# No override may exceed this one: a scan allocates a 2^bound byte table.
+# No override may exceed this one: it caps verify's walk over all 2^bound subsets.
 MAX_ORACLE_BOUND = 30
+# Exhaustive labelling search walks at most this many vertices' n! permutations.
+FACTORIAL_BOUND = 9
 
 ACTIVITY_MODES = ("standard", "reversed")
 
@@ -353,31 +355,11 @@ def _overlapping_pairs(masks: list[tuple[int, int]]) -> Iterator[tuple[int, int]
             yield i, j - 1
 
 
-def _subset_histogram(C: Cover) -> bytearray:
-    """Per-subset interval membership counts, saturated at 255."""
-    return _histogram(C.n, _interval_masks(C))
-
-
 def _check_oracle_bound(oracle_bound: int) -> None:
     if oracle_bound > MAX_ORACLE_BOUND:
         raise ValueError(
             f"oracle bound {oracle_bound} exceeds the limit {MAX_ORACLE_BOUND}"
         )
-
-
-def _histogram(n: int, masks: list[tuple[int, int]]) -> bytearray:
-    counts = bytearray(1 << n)
-    for lo, hi in masks:
-        free = hi & ~lo
-        s = free
-        while True:
-            x = lo | s
-            if counts[x] < 255:
-                counts[x] += 1
-            if s == 0:
-                break
-            s = (s - 1) & free
-    return counts
 
 
 def _union_size(free: int, cubes: list[tuple[int, int]]) -> int:
@@ -484,16 +466,24 @@ def partition_verdict(C: Cover, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> Par
 def repeated_subsets_detail(
     C: Cover, oracle_bound: int = DEFAULT_ORACLE_BOUND
 ) -> list[tuple[frozenset[int], list[frozenset[int]]]]:
-    """Every subset lying in two or more intervals, with its generators."""
+    """Every subset lying in two or more intervals, with its generators.
+
+    Subsets come in ascending bitmask order (bit v-1 for vertex v).
+    """
     _check_oracle_bound(oracle_bound)
     if C.n > oracle_bound:
         raise ValueError(f"exhaustive scan refused for n={C.n} > {oracle_bound}")
     masks = _interval_masks(C)
-    return [
-        (set_of(x), _generators_containing(C, masks, x))
-        for x, c in enumerate(_histogram(C.n, masks))
-        if c >= 2
-    ]
+    repeated: set[int] = set()
+    for lo, hi in _meets(masks):  # the repeated subsets are the meets' union
+        free = hi & ~lo
+        s = free
+        while True:
+            repeated.add(lo | s)
+            if not s:
+                break
+            s = (s - 1) & free
+    return [(set_of(x), _generators_containing(C, masks, x)) for x in sorted(repeated)]
 
 
 @dataclass(frozen=True)
@@ -520,12 +510,11 @@ def search_labelling(
     budget: int | None = None,
     mode: str = "exhaustive",
     seed: int | None = None,
-    factorial_bound: int = 9,
 ) -> LabellingSearchResult:
     """Search vertex relabellings for one minimizing the repeated-subset count.
 
     Exhaustive mode walks all n! permutations in lexicographic order (bounded
-    by `factorial_bound`) so ties resolve to the lexicographically smallest
+    by FACTORIAL_BOUND) so ties resolve to the lexicographically smallest
     permutation; it stops early once a partition shows up.  Random mode tries
     the identity and then `budget - 1` seeded shuffles; the seed is recorded
     in the result so runs can be reproduced.
@@ -538,10 +527,10 @@ def search_labelling(
         raise ValueError("labelling search needs exact repeat counts; graph too large")
 
     if mode == "exhaustive":
-        if G.n > factorial_bound:
+        if G.n > FACTORIAL_BOUND:
             raise ValueError(
                 f"exhaustive search over {G.n}! labellings refused; "
-                f"bound is {factorial_bound}!"
+                f"bound is {FACTORIAL_BOUND}!"
             )
         candidates: Iterable[tuple[int, ...]] = permutations(range(1, G.n + 1))
     else:

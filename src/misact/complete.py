@@ -13,7 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .activities import Cover, PartitionVerdict, cover, ext_active, int_active, partition_verdict
+from .activities import (
+    Cover,
+    PartitionVerdict,
+    _locate_generator_mask,
+    cover,
+    ext_active,
+    int_active,
+    partition_verdict,
+)
 from .graph import (
     Graph,
     enumerate_maximal_independent_sets,
@@ -134,22 +142,12 @@ def _obstructions(G: Graph, C: Cover, verdict: PartitionVerdict) -> list[Obstruc
 def singleton_generator_for(G: Graph, v: int) -> frozenset[int]:
     """A maximal independent set A containing v with lower endpoint {v} or empty.
 
-    Construction: descending greedy over the graph left after deleting the
-    closed neighbourhood of v, plus v itself.  The greedy compares original
-    labels, which is what the activity computation sees.  The postcondition
-    (A - Int(A) is {v} or empty) is asserted.
+    Construction: the located generator of {v}, which is v plus the
+    descending greedy over the vertices outside N[v], by original labels.
+    The postcondition (A - Int(A) is {v} or empty) is asserted.
     """
     G._check_vertex(v)
-    closed_m = G.adj_mask[v] | (1 << (v - 1))
-    cur = 1 << (v - 1)
-    # descending greedy restricted to vertices outside N[v]; candidates can
-    # never conflict with v itself
-    for u in range(G.n, 0, -1):
-        ubit = 1 << (u - 1)
-        if ubit & closed_m or G.adj_mask[u] & cur:
-            continue
-        cur |= ubit
-    A = set_of(cur)
+    A = set_of(_locate_generator_mask(G, 1 << (v - 1)))
     if not is_maximal_independent(G, A):
         raise RuntimeError(f"construction for vertex {v} is not maximal")
     low = A - int_active(G, A)

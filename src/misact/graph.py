@@ -155,11 +155,7 @@ def open_neighborhood(G: Graph, S: Iterable[int]) -> frozenset[int]:
 
 def closed_neighborhood(G: Graph, S: Iterable[int]) -> frozenset[int]:
     """open_neighborhood(G, S) together with S itself."""
-    m = _vertex_set_mask(G, S)
-    out = m
-    for v in _bits(m):
-        out |= G.adj_mask[v]
-    return set_of(out)
+    return set_of(_closed_mask(G, _vertex_set_mask(G, S)))
 
 
 def induced_subgraph(G: Graph, S: Iterable[int]) -> tuple[Graph, dict[int, int]]:

@@ -15,15 +15,17 @@ from .activities import (
     _check_oracle_bound,
     _interval_masks,
     _locate_generator_mask,
-    _subset_histogram,
     cover,
-    ext_active,
     int_active,
     partition_verdict,
 )
 from .complete import _internally_complete, _obstructions, externally_complete, internally_complete
 from .families import FAMILIES
-from .graph import Graph, enumerate_maximal_independent_sets, set_of
+from .graph import (
+    Graph,
+    enumerate_maximal_independent_sets,  # noqa: F401  bench/spans.py traces it here
+    set_of,
+)
 
 __all__ = ["CheckResult", "verify_all", "verify_family"]
 
@@ -38,27 +40,20 @@ class CheckResult:
 def verify_all(G: Graph, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> list[CheckResult]:
     """Run the library's invariants on one graph.
 
-    Exhaustive subset passes run only up to `oracle_bound` vertices; beyond
-    that the coverage and location checks are skipped with a note.  A bound
-    above MAX_ORACLE_BOUND raises ValueError before anything is computed.
+    Up to `oracle_bound` vertices the coverage check reads the exact verdict,
+    which raises RuntimeError if a subset lies in no interval, and the
+    location check walks all 2^n subsets; beyond that both are skipped with
+    a note.  A bound above MAX_ORACLE_BOUND raises ValueError before
+    anything is computed.
     """
     _check_oracle_bound(oracle_bound)
     out: list[CheckResult] = []
     c = cover(G)
+    # up to the bound the verdict counts the intervals' union and raises on a miss
+    verdict = partition_verdict(c, oracle_bound=oracle_bound)
 
-    small = G.n <= oracle_bound
-    if small:
-        counts = _subset_histogram(c)
-        zero = counts.count(0)
-        out.append(
-            CheckResult(
-                "coverage",
-                zero == 0,
-                "every subset lies in some interval"
-                if zero == 0
-                else f"{zero} subsets uncovered",
-            )
-        )
+    if G.n <= oracle_bound:
+        out.append(CheckResult("coverage", True, "every subset lies in some interval"))
         # the greedy result must be a generator of the cover whose interval holds x
         intervals = {e.mis_mask: iv for e, iv in zip(c.entries, _interval_masks(c))}
         bad_locate = None
@@ -80,8 +75,7 @@ def verify_all(G: Graph, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> list[Check
         out.append(CheckResult("coverage", True, f"skipped: n={G.n} > {oracle_bound}"))
         out.append(CheckResult("locate_generator", True, f"skipped: n={G.n} > {oracle_bound}"))
 
-    mis = enumerate_maximal_independent_sets(G)
-    ext_complete = [A for A in mis if ext_active(G, A) == G.vertex_set - A]
+    ext_complete = [e.generator for e in c.entries if e.ext_mask == G.full_mask & ~e.mis_mask]
     algo = externally_complete(G)
     out.append(
         CheckResult(
@@ -101,7 +95,7 @@ def verify_all(G: Graph, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> list[Check
         )
     )
 
-    ext_empty_ok = all(int_active(G, A) == A for A in mis if not ext_active(G, A))
+    ext_empty_ok = all(e.int_mask == e.mis_mask for e in c.entries if not e.ext_mask)
     out.append(
         CheckResult(
             "ext_empty_implies_int_full",
@@ -110,7 +104,6 @@ def verify_all(G: Graph, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> list[Check
         )
     )
 
-    verdict = partition_verdict(c, oracle_bound=oracle_bound)
     obstructions = _obstructions(G, c, verdict)
     consistent = not obstructions or not verdict.is_partition
     out.append(

@@ -3,6 +3,9 @@
 Everything here works by brute force on plain Python sets, straight from the
 definitions, and touches only Graph.n and Graph.adj.  None of the package's
 bitmask machinery is reused, so agreement between the two is meaningful.
+The one exception is subset_histogram, which takes a computed cover and
+walks every subset of each interval's masks: it checks what the library
+concludes from a cover (coverage, repeats), not the cover itself.
 """
 
 from itertools import combinations
@@ -89,6 +92,27 @@ def brute_is_partition(G: Graph) -> bool:
         if sum(1 for _, lo, hi in triples if lo <= X <= hi) != 1:
             return False
     return True
+
+
+def subset_histogram(C) -> bytearray:
+    """Per-subset interval membership counts of the cover C, saturated at 255.
+
+    Indexed by bitmask (bit v-1 for vertex v); entry x counts the intervals
+    [lower_mask; upper_mask] of C that hold x.
+    """
+    counts = bytearray(1 << C.n)
+    for e in C.entries:
+        lo, hi = e.lower_mask, e.upper_mask
+        free = hi & ~lo
+        s = free
+        while True:
+            x = lo | s
+            if counts[x] < 255:
+                counts[x] += 1
+            if s == 0:
+                break
+            s = (s - 1) & free
+    return counts
 
 
 def tree_children(T: Graph, root: int) -> dict[int, set[int]]:

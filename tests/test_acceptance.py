@@ -48,10 +48,10 @@ from misact import (
     sis,
     subset_multiplicity,
 )
-from misact.activities import _pairwise_overlap, _subset_histogram, _locate_generator_mask
+from misact.activities import _pairwise_overlap, _locate_generator_mask
 from misact.graph import mask_of, set_of
 
-from reference import private_leaf_violations
+from reference import private_leaf_violations, subset_histogram
 from sample_graphs import (
     all_named_graphs,
     dense_five_overlapping,
@@ -147,7 +147,7 @@ def test_criterion_04_coverage_on_random_corpus(corpus):
     checked = 0
     for _, variants in corpus:
         for h in variants:
-            counts = _subset_histogram(cover(h))
+            counts = subset_histogram(cover(h))
             assert counts.count(0) == 0, "a subset escaped every interval"
             checked += 1
     elapsed = time.monotonic() - start
@@ -408,7 +408,7 @@ def test_criterion_13_pruned_pipeline():
         size_identity = (
             sum(e.interval.size() for e in c.entries) == 1 << instance.host.n
         )
-        counts = _subset_histogram(c)
+        counts = subset_histogram(c)
         exhaustive = counts.count(0) == 0 and len(counts) == counts.count(1)
         if not (pairwise == size_identity == exhaustive):
             methods_disagreed.append(i)

@@ -1,16 +1,26 @@
-"""Exact union counting in the partition verdict, against the 2^n histogram."""
+"""Exact union counting in the partition verdict and the repeated-subset
+listing, against the 2^n histogram."""
 
 import random
+import tracemalloc
 from itertools import combinations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from misact import Graph, cover, partition_verdict, random_graph, relabel
-from misact import activities
-from misact.activities import _subset_histogram, _union_size
+from misact import (
+    Graph,
+    cover,
+    partition_verdict,
+    random_graph,
+    relabel,
+    repeated_subsets_detail,
+)
+from misact.activities import _generators_containing, _interval_masks, _union_size
 from misact.graph import set_of
 from misact.pruned import random_pruned_instance
+
+from reference import subset_histogram
+from sample_graphs import all_named_graphs
 
 
 def brute_union_size(n: int, cubes: list[tuple[int, int]]) -> int:
@@ -58,7 +68,7 @@ class TestUnionSize:
 
 def histogram_verdict(C):
     """(repeated count, witness subset, its first two generators) from the 2^n scan."""
-    counts = _subset_histogram(C)
+    counts = subset_histogram(C)
     assert counts.count(0) == 0
     repeated = len(counts) - counts.count(1)
     if not repeated:
@@ -98,24 +108,32 @@ class TestVerdictAgainstHistogram:
         assert_matches_histogram(c)
 
 
-class TestVerdictWithoutHistogram:
-    @pytest.fixture(autouse=True)
-    def no_histogram(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("partition_verdict built the 2^n histogram")
+def traced_verdict(C):
+    """partition_verdict(C) and the peak bytes it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        v = partition_verdict(C)
+        return v, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-        monkeypatch.setattr(activities, "_histogram", refuse)
+
+class TestVerdictWithoutHistogram:
+    # A 2^23 byte table alone is 8 MB; the exact verdict needs far less.
+    PEAK_LIMIT = 1 << 20
 
     def test_partition(self):
         tree = random_pruned_instance(random.Random(6), max_vertices=24).tree
         assert tree.n == 23
-        v = partition_verdict(cover(tree))
+        v, peak = traced_verdict(cover(tree))
+        assert peak < self.PEAK_LIMIT
         assert v.is_partition and v.repeated_subset_count == 0 and v.witness is None
 
     def test_non_partition(self):
         g = random_graph(23, 0.3, seed=3)
         c = cover(g)
-        v = partition_verdict(c)
+        v, peak = traced_verdict(c)
+        assert peak < self.PEAK_LIMIT
         assert not v.is_partition
         assert v.repeated_subset_count == 4292224  # the histogram's count
         assert v.witness.subset == frozenset()  # its smallest repeated subset
@@ -124,3 +142,24 @@ class TestVerdictWithoutHistogram:
         gens = [e for e in c.entries if e.interval.contains(v.witness.subset)]
         assert [e.generator for e in gens[:2]] == [v.witness.generator_a,
                                                    v.witness.generator_b]
+
+
+class TestRepeatedDetailAgainstHistogram:
+    def test_sample_and_seeded_graphs(self):
+        rng = random.Random(13)
+        graphs = all_named_graphs() + [
+            random_graph(rng.randint(0, 12), rng.choice((0.2, 0.3, 0.5)), rng=rng)
+            for _ in range(80)
+        ]
+        non_partitions = 0
+        for g in graphs:
+            c = cover(g)
+            masks = _interval_masks(c)
+            expected = [
+                (set_of(x), _generators_containing(c, masks, x))
+                for x, count in enumerate(subset_histogram(c))
+                if count >= 2
+            ]
+            assert repeated_subsets_detail(c) == expected
+            non_partitions += bool(expected)
+        assert non_partitions >= 40  # most seeded graphs repeat subsets

@@ -6,7 +6,7 @@ import misact.activities
 import misact.cli
 import misact.complete
 import misact.verify
-from misact import cover, random_graph, verify_all, verify_family
+from misact import Cover, cover, random_graph, verify_all, verify_family
 from misact.activities import MAX_ORACLE_BOUND
 from misact.graph import set_of
 
@@ -89,6 +89,18 @@ class TestVerifyAllCore:
             check = by_name(verify_all(g))["locate_generator"]
             assert not check.passed
             assert check.detail == f"fails for {sorted(set_of(bad))}"
+
+    @pytest.mark.parametrize("dropped", range(4))
+    def test_cover_missing_an_entry_raises(self, monkeypatch, dropped):
+        g = dense_five_partition()  # a partition: each interval holds subsets no other does
+
+        def short(G):
+            c = misact.activities.cover(G)
+            return Cover(c.n, c.entries[:dropped] + c.entries[dropped + 1:])
+
+        monkeypatch.setattr(misact.verify, "cover", short)
+        with pytest.raises(RuntimeError, match=r"^cover misses \d+ subsets; coverage violated$"):
+            verify_all(g)
 
     def test_locate_reporting_a_non_generator_fails(self, monkeypatch):
         # the empty set is independent but not maximal, so no cover entry has it
