@@ -80,31 +80,22 @@ def ext_active(G: Graph, A: Iterable[int], mode: str = "standard") -> frozenset[
     if mode not in ACTIVITY_MODES:
         raise ValueError(f"mode must be one of {ACTIVITY_MODES}")
     m = _independent_mask_checked(G, A)
+    if mode == "standard":
+        return set_of(_activity_masks(G, m)[1])
     out = 0
     for a in _bits(m):
-        if mode == "standard":
-            out |= G.adj_mask[a] & ~((1 << a) - 1)  # neighbours labelled > a
-        else:
-            out |= G.adj_mask[a] & ((1 << (a - 1)) - 1)  # neighbours labelled < a
+        out |= G.adj_mask[a] & ((1 << (a - 1)) - 1)  # neighbours labelled < a
     return set_of(out & ~m)
-
-
-def _subs_mask(G: Graph, m: int, v: int) -> int:
-    # u can replace v when u has no neighbour left in A - {v}
-    rest = m & ~(1 << (v - 1))
-    out = 0
-    for u in _bits(G.adj_mask[v]):
-        if not G.adj_mask[u] & rest:
-            out |= 1 << (u - 1)
-    return out
 
 
 def subs(G: Graph, A: Iterable[int], v: int) -> frozenset[int]:
     """Neighbours of v that can substitute v in A while keeping independence."""
     m = _independent_mask_checked(G, A)
-    if not m & (1 << (v - 1)):
+    bit = 1 << (v - 1)
+    if not m & bit:
         raise ValueError(f"vertex {v} is not a member of {sorted(set_of(m))}")
-    return set_of(_subs_mask(G, m, v))
+    rest = m ^ bit  # u can replace v when u has no neighbour left in A - {v}
+    return frozenset(u for u in _bits(G.adj_mask[v]) if not G.adj_mask[u] & rest)
 
 
 def _activity_masks(G: Graph, m: int) -> tuple[int, int]:

@@ -1,5 +1,10 @@
 """Externally, internally, and fully complete maximal independent sets.
 
+The special sets are generators located by `locate_generator`: the one
+located for V is the externally complete set, the one located for the
+empty set is an internally complete set, and the one located for {v} is
+the singleton generator of v.
+
 An externally complete set generates everything above it (its external
 activity is the whole complement); the ascending greedy pass produces the
 unique one.  An internally complete set generates everything below itself
@@ -16,19 +21,19 @@ from typing import Iterable
 from .activities import (
     Cover,
     PartitionVerdict,
+    _activity_masks,
     _locate_generator_mask,
     cover,
     ext_active,
-    int_active,
+    interval_of,
     partition_verdict,
 )
 from .graph import (
     Graph,
-    enumerate_maximal_independent_sets,
-    greedy_maximal_independent_set,
-    induced_subgraph,
+    _bits,
+    _closed_mask,
+    enumerate_maximal_independent_sets,  # noqa: F401  bench/spans.py traces it here
     is_maximal_independent,
-    open_neighborhood,
     set_of,
 )
 
@@ -53,7 +58,7 @@ def externally_complete(G: Graph) -> frozenset[int]:
     Ascending greedy: every rejected vertex is adjacent to a smaller kept
     one, which is exactly external activity.
     """
-    return greedy_maximal_independent_set(G, range(1, G.n + 1))
+    return set_of(_locate_generator_mask(G, G.full_mask))
 
 
 def internally_complete(G: Graph) -> frozenset[int]:
@@ -61,7 +66,7 @@ def internally_complete(G: Graph) -> frozenset[int]:
 
     Not unique in general; see enumerate_internally_complete.
     """
-    return greedy_maximal_independent_set(G, range(G.n, 0, -1))
+    return set_of(_locate_generator_mask(G, 0))
 
 
 def is_externally_complete(G: Graph, A: Iterable[int], mode: str = "standard") -> bool:
@@ -72,10 +77,7 @@ def is_externally_complete(G: Graph, A: Iterable[int], mode: str = "standard") -
 
 
 def is_internally_complete(G: Graph, A: Iterable[int]) -> bool:
-    s = frozenset(A)
-    if not is_maximal_independent(G, s):
-        raise ValueError(f"{sorted(s)} is not a maximal independent set")
-    return int_active(G, s) == s
+    return interval_of(G, A).lower_mask == 0
 
 
 def enumerate_internally_complete(G: Graph) -> list[frozenset[int]]:
@@ -88,9 +90,9 @@ def _internally_complete(C: Cover) -> list[frozenset[int]]:
 
 
 def is_complete(G: Graph, A: Iterable[int]) -> bool:
-    """Both internally and externally complete."""
-    s = frozenset(A)
-    return is_externally_complete(G, s) and is_internally_complete(G, s)
+    """Both internally and externally complete: the interval is the lattice."""
+    e = interval_of(G, A)
+    return e.lower_mask == 0 and e.upper_mask == G.full_mask
 
 
 def find_complete(G: Graph) -> frozenset[int] | None:
@@ -99,8 +101,8 @@ def find_complete(G: Graph) -> frozenset[int] | None:
     A complete set must coincide with the unique externally complete set,
     so only that one candidate needs its internal side checked.
     """
-    s = externally_complete(G)
-    return s if int_active(G, s) == s else None
+    m = _locate_generator_mask(G, G.full_mask)
+    return set_of(m) if _activity_masks(G, m)[0] == m else None
 
 
 @dataclass(frozen=True)
@@ -147,13 +149,16 @@ def singleton_generator_for(G: Graph, v: int) -> frozenset[int]:
     The postcondition (A - Int(A) is {v} or empty) is asserted.
     """
     G._check_vertex(v)
-    A = set_of(_locate_generator_mask(G, 1 << (v - 1)))
-    if not is_maximal_independent(G, A):
+    bit = 1 << (v - 1)
+    m = _locate_generator_mask(G, bit)
+    if not is_maximal_independent(G, set_of(m)):
         raise RuntimeError(f"construction for vertex {v} is not maximal")
-    low = A - int_active(G, A)
-    if low not in (frozenset(), frozenset({v})):
-        raise RuntimeError(f"lower endpoint {sorted(low)} is neither empty nor {{{v}}}")
-    return A
+    low = m & ~_activity_masks(G, m)[0]
+    if low not in (0, bit):
+        raise RuntimeError(
+            f"lower endpoint {sorted(set_of(low))} is neither empty nor {{{v}}}"
+        )
+    return set_of(m)
 
 
 def isolated_after_removal_check(G: Graph, v: int) -> tuple[bool, bool | None]:
@@ -165,16 +170,8 @@ def isolated_after_removal_check(G: Graph, v: int) -> tuple[bool, bool | None]:
     `verified` is None.
     """
     G._check_vertex(v)
-    closed = open_neighborhood(G, [v]) | {v}
-    keep = G.vertex_set - closed
-    sub, old_to_new = induced_subgraph(G, keep)
-    new_to_old = {nv: ov for ov, nv in old_to_new.items()}
-    isolated = {new_to_old[u] for u in sub.vertices if sub.degree(u) == 0}
-    if not isolated:
+    bit = 1 << (v - 1)
+    rest = G.full_mask & ~_closed_mask(G, bit)
+    if all(G.adj_mask[u] & rest for u in _bits(rest)):
         return False, None
-    verified = all(
-        int_active(G, A) != frozenset()
-        for A in enumerate_maximal_independent_sets(G)
-        if v in A
-    )
-    return True, verified
+    return True, all(e.int_mask for e in cover(G).entries if e.mis_mask & bit)

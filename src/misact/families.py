@@ -11,8 +11,8 @@ holds everything the CLI and the verifier know about it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Sequence
+from itertools import combinations, count
+from typing import Callable, Iterable, Sequence
 
 from .activities import ActivityReport, Cover
 from .graph import Graph, mask_of
@@ -42,14 +42,10 @@ __all__ = [
 
 
 def complete_graph(n: int) -> Graph:
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
     return Graph(n, combinations(range(1, n + 1), 2))
 
 
 def empty_graph(n: int) -> Graph:
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
     return Graph(n)
 
 
@@ -123,57 +119,48 @@ class SisDecomposition:
         return len(self.parts)
 
 
+def _parts(m: int, caps: Iterable[int]) -> tuple[int, ...]:
+    """Split m greedily: take each cap in turn until the remainder fits one."""
+    parts = []
+    for cap in caps:
+        if m <= cap:
+            parts.append(m)
+            break
+        parts.append(cap)
+        m -= cap
+    return tuple(parts)
+
+
 def sds(m: int, n: int) -> SdsDecomposition:
     """Unique decomposition m = (n-1) + (n-2) + ... + p_k with 1 <= p_k <= n-k."""
     if n < 2 or not (n - 1 <= m <= n * (n - 1) // 2):
         raise ValueError(f"sds needs n-1 <= m <= n(n-1)/2; got m={m}, n={n}")
-    parts = []
-    rem = m
-    i = 1
-    while True:
-        cap = n - i
-        if rem <= cap:
-            parts.append(rem)
-            break
-        parts.append(cap)
-        rem -= cap
-        i += 1
-    return SdsDecomposition(m=m, n=n, parts=tuple(parts))
+    return SdsDecomposition(m=m, n=n, parts=_parts(m, range(n - 1, 0, -1)))
 
 
 def sis(m: int, n: int) -> SisDecomposition:
     """Unique decomposition m = 1 + 2 + ... + q_k with 1 <= q_k <= k."""
     if n < 2 or not (1 <= m <= n * (n - 1) // 2):
         raise ValueError(f"sis needs 1 <= m <= n(n-1)/2; got m={m}, n={n}")
-    parts = []
-    rem = m
-    i = 1
-    while True:
-        if rem <= i:
-            parts.append(rem)
-            break
-        parts.append(i)
-        rem -= i
-        i += 1
-    return SisDecomposition(m=m, n=n, parts=tuple(parts))
+    return SisDecomposition(m=m, n=n, parts=_parts(m, count(1)))
 
 
-def _pair_count(n: int) -> int:
-    return n * (n - 1) // 2
+def _check_edge_count(n: int, m: int) -> None:
+    top = n * (n - 1) // 2
+    if not (0 <= m <= top):
+        raise ValueError(f"edge count {m} outside 0..{top}")
 
 
 def lex_graph(n: int, m: int) -> Graph:
     """First m vertex pairs in lexicographic order: 12, 13, ..., 1n, 23, ..."""
-    if not (0 <= m <= _pair_count(n)):
-        raise ValueError(f"edge count {m} outside 0..{_pair_count(n)}")
+    _check_edge_count(n, m)
     pairs = list(combinations(range(1, n + 1), 2))  # already lex ordered
     return Graph(n, pairs[:m])
 
 
 def colex_graph(n: int, m: int) -> Graph:
     """First m vertex pairs in colexicographic order: 12, 13, 23, 14, 24, ..."""
-    if not (0 <= m <= _pair_count(n)):
-        raise ValueError(f"edge count {m} outside 0..{_pair_count(n)}")
+    _check_edge_count(n, m)
     pairs = sorted(combinations(range(1, n + 1), 2), key=lambda e: (e[1], e[0]))
     return Graph(n, pairs[:m])
 
@@ -262,11 +249,9 @@ def predicted_cover_join(n: int, m: int) -> Cover:
 
 def predicted_cover_lex(n: int, m: int) -> Cover:
     """Closed-form cover of the lex graph; always a partition."""
-    if not (0 <= m <= _pair_count(n)):
-        raise ValueError(f"edge count {m} outside 0..{_pair_count(n)}")
-    if m == 0:
-        v = _rng(1, n)
-        return Cover(n=n, entries=(_entry(v, v, ()),))
+    _check_edge_count(n, m)
+    if m == 0:  # the edgeless graph is K_0 joined to E_n
+        return predicted_cover_join(0, n)
     if m < n - 1:
         # star around vertex 1 with leaves 2..m+1; the rest is isolated
         iso = _rng(m + 2, n)
@@ -289,11 +274,9 @@ def predicted_cover_lex(n: int, m: int) -> Cover:
 
 def predicted_cover_colex(n: int, m: int) -> Cover:
     """Closed-form cover of the colex graph; always a partition."""
-    if not (0 <= m <= _pair_count(n)):
-        raise ValueError(f"edge count {m} outside 0..{_pair_count(n)}")
-    if m == 0:
-        v = _rng(1, n)
-        return Cover(n=n, entries=(_entry(v, v, ()),))
+    _check_edge_count(n, m)
+    if m == 0:  # the edgeless graph is K_0 joined to E_n
+        return predicted_cover_join(0, n)
     d = sis(m, n)
     k, q = d.depth, d.parts[-1]
     iso = _rng(k + 2, n)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .activities import Cover, PartitionVerdict, cover, partition_verdict
-from .graph import Graph, is_independent, is_maximal_independent, mask_of, relabel, set_of
+from .graph import Graph, _bits, is_independent, is_maximal_independent, mask_of, relabel, set_of
 
 __all__ = [
     "RootedLevels",
@@ -80,26 +80,24 @@ def _check_tree(T: Graph) -> None:
 
 
 def tree_center(T: Graph) -> int:
-    """A center vertex of the tree, found by peeling leaves; ties break low."""
+    """A center vertex of the tree, found by peeling leaves; ties break low.
+
+    Each round removes every vertex with fewer than two neighbours left,
+    until at most two remain.  A round that removes nothing means a cycle,
+    which with n - 1 edges means the graph is disconnected.
+    """
     _check_tree(T)
-    if T.n <= 2:
-        return 1
-    deg = [0] + [T.degree(v) for v in T.vertices]
-    removed = [False] * (T.n + 1)
-    layer = [v for v in T.vertices if deg[v] == 1]
-    alive = T.n
-    while alive > 2:
-        nxt = []
-        for v in layer:
-            removed[v] = True
-            alive -= 1
-            for u in T.adj[v]:
-                if not removed[u]:
-                    deg[u] -= 1
-                    if deg[u] == 1:
-                        nxt.append(u)
-        layer = nxt
-    return min(v for v in T.vertices if not removed[v])
+    alive = T.full_mask
+    while alive.bit_count() > 2:
+        leaves = 0
+        for v in _bits(alive):
+            nb = T.adj_mask[v] & alive
+            if not nb & (nb - 1):
+                leaves |= 1 << (v - 1)
+        if not leaves:
+            raise ValueError("not a tree: disconnected")
+        alive &= ~leaves
+    return (alive & -alive).bit_length()
 
 
 def compute_levels(T: Graph, root: int) -> RootedLevels:

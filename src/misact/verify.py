@@ -43,8 +43,9 @@ def verify_all(G: Graph, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> list[Check
     Up to `oracle_bound` vertices the coverage check reads the exact verdict,
     which raises RuntimeError if a subset lies in no interval, and the
     location check walks all 2^n subsets; beyond that both are skipped with
-    a note.  A bound above MAX_ORACLE_BOUND raises ValueError before
-    anything is computed.
+    a note.  An obstruction on a cover whose verdict is a partition raises
+    RuntimeError (CLI exit 3).  A bound above MAX_ORACLE_BOUND raises
+    ValueError before anything is computed.
     """
     _check_oracle_bound(oracle_bound)
     out: list[CheckResult] = []
@@ -104,12 +105,12 @@ def verify_all(G: Graph, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> list[Check
         )
     )
 
+    # _obstructions raises RuntimeError when an obstruction meets a partition verdict
     obstructions = _obstructions(G, c, verdict)
-    consistent = not obstructions or not verdict.is_partition
     out.append(
         CheckResult(
             "obstruction_consistency",
-            consistent,
+            True,
             f"obstructions={[o.kind for o in obstructions]}, "
             f"is_partition={verdict.is_partition}",
         )

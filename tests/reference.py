@@ -147,3 +147,35 @@ def private_leaf_violations(T: Graph, H: Graph, root: int) -> frozenset[int]:
         for v, ch in children.items()
         if ch and not any(H.adj[l] - {v} <= H.adj[v] for l in ch & leaves)
     )
+
+
+def brute_isolated_after_removal(G: Graph, v: int) -> tuple[bool, bool | None]:
+    """isolated_after_removal_check from the definitions, on frozensets.
+
+    Deleting N[v] leaves isolated vertices when some remaining vertex has no
+    remaining neighbour; then every maximal independent set holding v must
+    have a non-empty internal activity set.
+    """
+    keep = frozenset(range(1, G.n + 1)) - G.adj[v] - {v}
+    if all(G.adj[u] & keep for u in keep):
+        return False, None
+    return True, all(brute_int(G, A) for A in brute_mis(G) if v in A)
+
+
+def brute_tree_center(T: Graph) -> int:
+    """The vertex of minimum eccentricity in the tree T, lowest label on ties."""
+
+    def eccentricity(s: int) -> int:
+        dist = {s: 0}
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for u in T.adj[v]:
+                    if u not in dist:
+                        dist[u] = dist[v] + 1
+                        nxt.append(u)
+            frontier = nxt
+        return max(dist.values())
+
+    return min(range(1, T.n + 1), key=lambda v: (eccentricity(v), v))

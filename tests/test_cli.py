@@ -369,3 +369,18 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["is_partition"] is True
+
+    def test_pruned_cyclic_tree_without_root_exits_one(self, tmp_path):
+        # n - 1 edges holding a cycle: finding the default root must not hang
+        path = tmp_path / "t.txt"
+        path.write_text("4 3\n1 2\n2 3\n1 3\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "misact", "pruned", "--tree", str(path)],
+            capture_output=True,
+            text=True,
+            cwd=str(Path(__file__).resolve().parent.parent),
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+            timeout=30,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: not a tree: disconnected\n"

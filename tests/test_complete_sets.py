@@ -15,6 +15,7 @@ from misact import (
     ext_active,
     externally_complete,
     find_complete,
+    greedy_maximal_independent_set,
     int_active,
     internally_complete,
     interval_of,
@@ -29,7 +30,7 @@ from misact import (
     subset_multiplicity,
 )
 
-from reference import brute_mis
+from reference import brute_isolated_after_removal, brute_mis
 from sample_graphs import (
     dense_five_overlapping,
     dense_five_partition,
@@ -76,6 +77,16 @@ class TestExternallyComplete:
             if ext_active(g, A) == g.vertex_set - A
         ]
         assert hits == [externally_complete(g)]
+
+
+class TestLocatedSpecialSets:
+    def test_located_for_all_and_none_are_the_greedy_passes(self):
+        rng = random.Random(8)
+        for _ in range(120):
+            g = random_graph(rng.randint(0, 14), rng.uniform(0.05, 0.9), rng=rng)
+            up = range(1, g.n + 1)
+            assert externally_complete(g) == greedy_maximal_independent_set(g, up)
+            assert internally_complete(g) == greedy_maximal_independent_set(g, up[::-1])
 
 
 class TestInternallyComplete:
@@ -259,3 +270,10 @@ class TestIsolatedAfterRemoval:
                 has, verified = isolated_after_removal_check(g, v)
                 if has:
                     assert verified is True
+
+    def test_matches_frozenset_reference(self):
+        rng = random.Random(11)
+        for _ in range(70):
+            g = random_graph(rng.randint(1, 9), rng.uniform(0.05, 0.8), rng=rng)
+            for v in g.vertices:
+                assert isolated_after_removal_check(g, v) == brute_isolated_after_removal(g, v)

@@ -120,6 +120,13 @@ class TestPendants:
                 assert got == pendant_partition_predicate(sizes), (n, sizes)
 
 
+class TestNegativeVertexCount:
+    @pytest.mark.parametrize("build", [complete_graph, empty_graph])
+    def test_rejected(self, build):
+        with pytest.raises(ValueError, match="^vertex count must be non-negative$"):
+            build(-1)
+
+
 class TestDecompositions:
     def test_known_values(self):
         assert sds(6, 5).parts == (4, 2)

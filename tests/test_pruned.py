@@ -28,7 +28,7 @@ from misact import (
 )
 from misact.pruned import level_labelling_violation
 
-from reference import private_leaf_violations
+from reference import brute_tree_center, private_leaf_violations
 from sample_graphs import (
     layered_host,
     layered_tree,
@@ -101,6 +101,15 @@ class TestPrunedTreePredicate:
     def test_center(self):
         assert tree_center(layered_tree()) == 1
         assert tree_center(Graph(4, [(1, 2), (2, 3), (3, 4)])) == 2
+
+    def test_center_matches_minimum_eccentricity(self):
+        rng = random.Random(4)
+        for _ in range(150):
+            n = rng.randint(1, 20)
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            t = Graph(n, [(perm[rng.randint(1, v - 1) - 1], perm[v - 1]) for v in range(2, n + 1)])
+            assert tree_center(t) == brute_tree_center(t)
 
 
 class TestHostRange:

@@ -1,12 +1,14 @@
 """The invariant harness across fixture, random, and family targets."""
 
+import dataclasses
+
 import pytest
 
 import misact.activities
 import misact.cli
 import misact.complete
 import misact.verify
-from misact import Cover, cover, random_graph, verify_all, verify_family
+from misact import Cover, cover, emit_edge_list, random_graph, verify_all, verify_family
 from misact.activities import MAX_ORACLE_BOUND
 from misact.graph import set_of
 
@@ -101,6 +103,28 @@ class TestVerifyAllCore:
         monkeypatch.setattr(misact.verify, "cover", short)
         with pytest.raises(RuntimeError, match=r"^cover misses \d+ subsets; coverage violated$"):
             verify_all(g)
+
+    @staticmethod
+    def _claim_partition(monkeypatch):
+        def claimed(C, **kwargs):
+            v = misact.activities.partition_verdict(C, **kwargs)
+            return dataclasses.replace(v, is_partition=True)
+
+        monkeypatch.setattr(misact.verify, "partition_verdict", claimed)
+
+    def test_obstruction_on_a_partition_verdict_raises(self, monkeypatch):
+        self._claim_partition(monkeypatch)
+        with pytest.raises(RuntimeError, match="^obstruction found but cover is a partition$"):
+            verify_all(ten_vertex_with_complete_a())
+
+    def test_obstruction_on_a_partition_verdict_exits_three(self, monkeypatch, tmp_path, capsys):
+        self._claim_partition(monkeypatch)
+        path = tmp_path / "g.txt"
+        path.write_text(emit_edge_list(ten_vertex_with_complete_a()))
+        assert misact.cli.run(["verify", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: obstruction found but cover is a partition\n"
 
     def test_locate_reporting_a_non_generator_fails(self, monkeypatch):
         # the empty set is independent but not maximal, so no cover entry has it
