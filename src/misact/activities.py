@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .graph import (
@@ -54,7 +54,9 @@ __all__ = [
     "mis_difference_decomposition",
 ]
 
-# Full 2^n subset scans are refused above this bound unless overridden.
+# Up to this many vertices, unless overridden, partition_verdict reports the
+# exact repeated-subset count, verify walks all 2^n subsets through
+# locate_generator, and repeated_subsets_detail lists the repeated subsets.
 DEFAULT_ORACLE_BOUND = 25
 # No override may exceed this one: it caps verify's walk over all 2^bound subsets.
 MAX_ORACLE_BOUND = 30
@@ -91,10 +93,9 @@ def ext_active(G: Graph, A: Iterable[int], mode: str = "standard") -> frozenset[
 def subs(G: Graph, A: Iterable[int], v: int) -> frozenset[int]:
     """Neighbours of v that can substitute v in A while keeping independence."""
     m = _independent_mask_checked(G, A)
-    bit = 1 << (v - 1)
-    if not m & bit:
+    if v < 1 or not m >> (v - 1) & 1:
         raise ValueError(f"vertex {v} is not a member of {sorted(set_of(m))}")
-    rest = m ^ bit  # u can replace v when u has no neighbour left in A - {v}
+    rest = m ^ (1 << (v - 1))  # u can replace v when u has no neighbour left in A - {v}
     return frozenset(u for u in _bits(G.adj_mask[v]) if not G.adj_mask[u] & rest)
 
 
@@ -240,7 +241,7 @@ def subset_multiplicity(G: Graph, X: Iterable[int]) -> int:
     Always at least 1.  Builds the full cover; prefer Cover.multiplicity_of
     when querying many subsets of one graph.
     """
-    return cover(G).multiplicity_of(X)
+    return cover(G).multiplicity_of(set_of(_vertex_set_mask(G, X)))
 
 
 def intervals_intersect(a: Interval, b: Interval) -> bool:
@@ -276,15 +277,6 @@ class PartitionVerdict:
 
 def _interval_masks(C: Cover) -> list[tuple[int, int]]:
     return [(e.lower_mask, e.upper_mask) for e in C.entries]
-
-
-def _pairwise_overlap(C: Cover) -> tuple[int, int] | None:
-    return _overlap(_interval_masks(C))
-
-
-def _overlap(masks: list[tuple[int, int]]) -> tuple[int, int] | None:
-    """The first intersecting pair (i, j), i < j, in lexicographic order."""
-    return next(_overlapping_pairs(masks), None)
 
 
 # Covers with fewer entries skip the index: measured on G(n, p) and tree
@@ -383,10 +375,16 @@ def _union_size(free: int, cubes: list[tuple[int, int]]) -> int:
     return total
 
 
-def _meets(masks: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The distinct nonempty pairwise intersections [lo_a|lo_b; hi_a&hi_b]."""
+def _meets(
+    masks: list[tuple[int, int]], pairs: Iterable[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The distinct intersections [lo_i|lo_j; hi_i&hi_j] of the given pairs.
+
+    `pairs` holds index pairs of intersecting intervals, as yielded by
+    _overlapping_pairs(masks), so every meet is nonempty.
+    """
     out: dict[tuple[int, int], None] = {}
-    for i, j in _overlapping_pairs(masks):
+    for i, j in pairs:
         (lo_i, hi_i), (lo_j, hi_j) = masks[i], masks[j]
         out[lo_i | lo_j, hi_i & hi_j] = None
     return list(out)
@@ -412,46 +410,43 @@ def partition_verdict(C: Cover, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> Par
     subsets, and the repeated subsets are the union of the pairwise interval
     intersections, whose size is reported.  Both unions are counted by
     splitting on fixed bits, so no per-subset table is built; the bound only
-    decides whether the exact count is reported.  Disagreement between
-    methods raises, since it would mean the cover violates the coverage
-    guarantee it was built under.
+    decides whether the exact count is reported.
+
+    Checks run in this order, over one pair scan:
+      1. up to the bound, a subset in no interval raises "cover misses";
+      2. the first overlapping pair must agree with the size sum;
+      3. a partition returns;
+      4. above the bound, the first pair gives the witness;
+      5. up to it, the scan resumes after that pair to collect the meets,
+         whose union must be nonempty.
+    A disagreement between methods raises RuntimeError, since it would mean
+    the cover violates the coverage guarantee it was built under.
     """
     masks = _interval_masks(C)
-    overlap = _overlap(masks)
-    pairwise_partition = overlap is None
-    size_sum = sum(1 << (hi.bit_count() - lo.bit_count()) for lo, hi in masks)
-    size_partition = size_sum == 1 << C.n
-
-    witness = None
-    repeated: int | None = None
+    full = (1 << C.n) - 1
     if C.n <= oracle_bound:
-        full = (1 << C.n) - 1
         missed = full + 1 - _union_size(full, masks)
         if missed:
             raise RuntimeError(f"cover misses {missed} subsets; coverage violated")
-        meets = [] if pairwise_partition else _meets(masks)
-        repeated = _union_size(full, meets)
-        exact_partition = repeated == 0
-        if exact_partition != pairwise_partition or exact_partition != size_partition:
-            raise RuntimeError("partition methods disagree on a covered lattice")
-        if not exact_partition:
-            x = min(lo for lo, _ in meets)
-            gens = _generators_containing(C, masks, x)
-            witness = RepeatWitness(set_of(x), gens[0], gens[1])
-    else:
-        if pairwise_partition != size_partition:
-            raise RuntimeError("partition methods disagree on a covered lattice")
-        repeated = 0 if pairwise_partition else None
-        if overlap is not None:
-            i, j = overlap
-            witness = RepeatWitness(set_of(masks[i][0] | masks[j][0]),
-                                    C.entries[i].generator, C.entries[j].generator)
-
-    return PartitionVerdict(
-        is_partition=pairwise_partition,
-        repeated_subset_count=repeated,
-        witness=witness,
-    )
+    pairs = _overlapping_pairs(masks)
+    first = next(pairs, None)
+    size_sum = sum(1 << (hi.bit_count() - lo.bit_count()) for lo, hi in masks)
+    if (first is None) != (size_sum == full + 1):
+        raise RuntimeError("partition methods disagree on a covered lattice")
+    if first is None:
+        return PartitionVerdict(True, 0, None)
+    if C.n > oracle_bound:
+        i, j = first
+        witness = RepeatWitness(set_of(masks[i][0] | masks[j][0]),
+                                C.entries[i].generator, C.entries[j].generator)
+        return PartitionVerdict(False, None, witness)
+    meets = _meets(masks, chain([first], pairs))
+    repeated = _union_size(full, meets)
+    if repeated == 0:
+        raise RuntimeError("partition methods disagree on a covered lattice")
+    x = min(lo for lo, _ in meets)
+    gens = _generators_containing(C, masks, x)
+    return PartitionVerdict(False, repeated, RepeatWitness(set_of(x), gens[0], gens[1]))
 
 
 def repeated_subsets_detail(
@@ -466,7 +461,8 @@ def repeated_subsets_detail(
         raise ValueError(f"exhaustive scan refused for n={C.n} > {oracle_bound}")
     masks = _interval_masks(C)
     repeated: set[int] = set()
-    for lo, hi in _meets(masks):  # the repeated subsets are the meets' union
+    # the repeated subsets are the meets' union
+    for lo, hi in _meets(masks, _overlapping_pairs(masks)):
         free = hi & ~lo
         s = free
         while True:

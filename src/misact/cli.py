@@ -188,11 +188,7 @@ def _cmd_search_labelling(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.family:
-        sizes = _parse_sizes(args.sizes) if args.sizes else None
-        n = args.n if args.n is not None else (len(sizes) if sizes else None)
-        if n is None:
-            raise _UsageError("--n (or --sizes for pendant) is required")
-        checks = verify_family(args.family, n, args.m or 0, sizes)
+        checks = verify_family(args.family, **_family_values(args))
         target = f"family:{args.family}"
     elif args.file:
         checks = verify_all(_read_graph(args.file), oracle_bound=args.oracle_bound)

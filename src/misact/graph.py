@@ -137,11 +137,11 @@ class Graph:
 
 
 def _vertex_set_mask(G: Graph, S: Iterable[int]) -> int:
-    m = mask_of(S)
-    if m & ~G.full_mask:
-        bad = set_of(m & ~G.full_mask)
-        raise ValueError(f"labels {sorted(bad)} outside 1..{G.n}")
-    return m
+    labels = set(S)
+    bad = sorted(v for v in labels if not 1 <= v <= G.n)
+    if bad:
+        raise ValueError(f"labels {bad} outside 1..{G.n}")
+    return mask_of(labels)
 
 
 def open_neighborhood(G: Graph, S: Iterable[int]) -> frozenset[int]:

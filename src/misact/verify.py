@@ -118,10 +118,6 @@ def verify_all(G: Graph, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> list[Check
     return out
 
 
-def _covers_equal(a, b) -> bool:
-    return a.n == b.n and a.entries == b.entries
-
-
 def verify_family(family: str, n: int, m: int = 0,
                   sizes: Sequence[int] | None = None) -> list[CheckResult]:
     """Compare a family's closed-form cover or partition predicate with the computed one."""
@@ -150,7 +146,7 @@ def verify_family(family: str, n: int, m: int = 0,
     out = [
         CheckResult(
             "predicted_cover",
-            _covers_equal(predicted, computed),
+            predicted == computed,
             f"{len(predicted.entries)} predicted vs {len(computed.entries)} computed entries",
         )
     ]

@@ -48,7 +48,7 @@ from misact import (
     sis,
     subset_multiplicity,
 )
-from misact.activities import _pairwise_overlap, _locate_generator_mask
+from misact.activities import _interval_masks, _locate_generator_mask, _overlapping_pairs
 from misact.graph import mask_of, set_of
 
 from reference import private_leaf_violations, subset_histogram
@@ -404,7 +404,7 @@ def test_criterion_13_pruned_pipeline():
     for i in range(100):
         instance = random_pruned_instance(rng, max_vertices=16)
         c = cover(instance.host)
-        pairwise = _pairwise_overlap(c) is None
+        pairwise = next(_overlapping_pairs(_interval_masks(c)), None) is None
         size_identity = (
             sum(e.interval.size() for e in c.entries) == 1 << instance.host.n
         )

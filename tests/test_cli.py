@@ -285,6 +285,36 @@ class TestCliCommands:
             family = next(a for a in commands[name]._actions if a.dest == "family")
             assert family.choices == tuple(FAMILIES)
 
+    @pytest.mark.parametrize("family", tuple(FAMILIES))
+    def test_verify_family_reads_parameters_like_predict(self, family, capsys):
+        # missing, extra, conflicting and malformed --n/--m/--sizes
+        shapes = [
+            [*n, *m, *sizes]
+            for n in ([], ["--n", "3"], ["--n", "4"], ["--n", "-1"])
+            for m in ([], ["--m", "2"], ["--m", "0"])
+            for sizes in ([], ["--sizes", "1,0,1"], ["--sizes", ","], ["--sizes", "x"])
+        ]
+        for shape in shapes:
+            predict = run(["predict", family, *shape])
+            verify = run(["verify", "--family", family, *shape])
+            if predict in (1, 64) or verify in (1, 64):
+                assert verify == predict, shape
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "shape, code",
+        [
+            (["lex", "--n", "5"], 64),
+            (["join", "--n", "3"], 64),
+            (["kn", "--sizes", "1,1,1"], 64),
+            (["pendant", "--n", "4", "--sizes", "1,0,1"], 0),
+            (["pendant", "--sizes", ","], 0),
+        ],
+    )
+    def test_verify_family_shapes_that_changed(self, shape, code, capsys):
+        assert run(["verify", "--family", *shape]) == code
+        assert run(["predict", *shape]) == code
+
     def test_polynomial(self, tmp_path, capsys):
         path = write_graph(tmp_path, dense_five_overlapping())
         assert run(["polynomial", path]) == 0

@@ -3,7 +3,7 @@
 import random
 
 from misact import cover, random_graph
-from misact.activities import _INDEX_MIN, _interval_masks, _overlap, _overlapping_pairs
+from misact.activities import _INDEX_MIN, _interval_masks, _overlapping_pairs
 from misact.pruned import random_pruned_instance
 
 
@@ -22,6 +22,10 @@ def first_pair(masks):
     return next(all_pairs(masks), None)
 
 
+def first_overlap(masks):
+    return next(_overlapping_pairs(masks), None)
+
+
 def random_intervals(rng, k, n, free):
     """k nonempty intervals over n vertices, each with about `free` free bits."""
     out = []
@@ -37,10 +41,10 @@ def random_intervals(rng, k, n, free):
 
 class TestRandomIntervals:
     def test_empty_and_single(self):
-        assert _overlap([]) is None
-        assert _overlap([(0b01, 0b11)]) is None
-        assert _overlap([(0, 0)]) is None
-        assert _overlap([(0, 0), (0, 0)]) == (0, 1)  # equal points meet
+        assert first_overlap([]) is None
+        assert first_overlap([(0b01, 0b11)]) is None
+        assert first_overlap([(0, 0)]) is None
+        assert first_overlap([(0, 0), (0, 0)]) == (0, 1)  # equal points meet
 
     def test_matches_double_loop(self):
         # short lists take the direct pair loop, long ones the index
@@ -50,7 +54,7 @@ class TestRandomIntervals:
             k = rng.choice((0, 1, 2, rng.randint(3, _INDEX_MIN), rng.randint(_INDEX_MIN, 200)))
             n = rng.randint(0, 18)
             masks = random_intervals(rng, k, n, rng.choice((0.05, 0.2, 0.5)))
-            assert _overlap(masks) == first_pair(masks)
+            assert first_overlap(masks) == first_pair(masks)
             assert list(_overlapping_pairs(masks)) == list(all_pairs(masks))
 
 
@@ -64,7 +68,7 @@ class TestCovers:
                 inst = random_pruned_instance(rng, max_vertices=30, host_edge_probability=p)
                 if inst.host.n > 25:
                     masks = _interval_masks(cover(inst.host))
-                    seen.append(_overlap(masks))
+                    seen.append(first_overlap(masks))
                     assert seen[-1] == first_pair(masks)
             if p == 0.0:
                 assert seen == [None] * count
@@ -74,6 +78,6 @@ class TestCovers:
         rng = random.Random(33)
         for n in range(26, 41, 2):
             masks = _interval_masks(cover(random_graph(n, 0.3, rng=rng)))
-            got = _overlap(masks)
+            got = first_overlap(masks)
             assert got is not None
             assert got == first_pair(masks)
