@@ -55,10 +55,10 @@ __all__ = [
 ]
 
 # Up to this many vertices, unless overridden, partition_verdict reports the
-# exact repeated-subset count, verify walks all 2^n subsets through
-# locate_generator, and repeated_subsets_detail lists the repeated subsets.
+# exact repeated-subset count, verify locates every one of the 2^n subsets,
+# and repeated_subsets_detail lists the repeated subsets.
 DEFAULT_ORACLE_BOUND = 25
-# No override may exceed this one: it caps verify's walk over all 2^bound subsets.
+# No override may exceed this one: it caps the 2^bound subsets verify locates.
 MAX_ORACLE_BOUND = 30
 # Exhaustive labelling search walks at most this many vertices' n! permutations.
 FACTORIAL_BOUND = 9
@@ -205,23 +205,31 @@ def cover(G: Graph) -> Cover:
     )
 
 
-def _locate_generator_mask(G: Graph, xm: int) -> int:
+def _locate_planes(G: Graph, planes: list[int], full: int) -> list[int]:
+    """locate_generator's greedy on many subsets at once, by bit slicing.
+
+    Bit x of planes[v] says whether v lies in subset x, and `full` has one
+    bit per subset.  Returns the planes B: bit x of B[v] says whether v
+    lies in the generator located for x.  Index 0 of both is unused.
+    """
     adj = G.adj_mask
-    b = 0
-    m = xm
-    while m:  # members of X, ascending
-        bit = m & -m
-        if not adj[bit.bit_length()] & b:
-            b |= bit
-        m ^= bit
-    rest = G.full_mask & ~xm
-    while rest:  # non-members, descending
-        v = rest.bit_length()
-        bit = 1 << (v - 1)
-        if not adj[v] & b:
-            b |= bit
-        rest ^= bit
+    b = [0] * (G.n + 1)
+    for v in G.vertices:  # members of x, ascending
+        block = 0
+        for u in _bits(adj[v] & ((1 << (v - 1)) - 1)):
+            block |= b[u]
+        b[v] = planes[v] & ~block
+    for v in reversed(G.vertices):  # non-members, descending
+        block = planes[v]
+        for u in _bits(adj[v]):
+            block |= b[u]
+        b[v] |= full & ~block
     return b
+
+
+def _locate_generator_mask(G: Graph, xm: int) -> int:
+    b = _locate_planes(G, [0, *(xm >> i & 1 for i in range(G.n))], 1)
+    return sum(b[v] << (v - 1) for v in G.vertices)
 
 
 def locate_generator(G: Graph, X: Iterable[int]) -> frozenset[int]:

@@ -32,11 +32,11 @@ __all__ = [
 
 
 def mask_of(vertices: Iterable[int]) -> int:
-    """Pack 1-based vertex labels into a bitmask."""
-    m = 0
-    for v in vertices:
-        m |= 1 << (v - 1)
-    return m
+    """Pack 1-based vertex labels into a bitmask; a label below 1 raises ValueError."""
+    labels = set(vertices)
+    if bad := sorted(v for v in labels if v < 1):
+        raise ValueError(f"labels {bad} below 1")
+    return sum(1 << (v - 1) for v in labels)
 
 
 def set_of(mask: int) -> frozenset[int]:

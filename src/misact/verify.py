@@ -14,7 +14,8 @@ from .activities import (
     DEFAULT_ORACLE_BOUND,
     _check_oracle_bound,
     _interval_masks,
-    _locate_generator_mask,
+    _locate_planes,
+    Cover,
     cover,
     int_active,
     partition_verdict,
@@ -24,6 +25,7 @@ from .families import FAMILIES
 from .graph import (
     Graph,
     enumerate_maximal_independent_sets,  # noqa: F401  bench/spans.py traces it here
+    _bits,
     set_of,
 )
 
@@ -37,14 +39,70 @@ class CheckResult:
     detail: str
 
 
+# The location check walks the lattice in chunks of 2^_CHUNK_BITS subsets.  On
+# G(20, 0.3), 16 took 0.029 s and peaked at 0.6 MB; 12 took 0.089 s, and one
+# chunk of 2^20 took 0.059 s and peaked at 6.6 MB.
+_CHUNK_BITS = 16
+
+
+def _index_planes(width: int) -> list[int]:
+    """Bit x of plane i says whether bit i of x is set, for x < 2^width."""
+    out = []
+    for i in range(width):
+        plane, span = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+        while span < 1 << width:
+            plane |= plane << span
+            span <<= 1
+        out.append(plane)
+    return out
+
+
+def _first_bad_locate(G: Graph, C: Cover) -> int | None:
+    """The first subset x, in mask order, whose located generator's interval lacks x.
+
+    Runs _locate_planes chunk by chunk: the low vertices get periodic
+    planes, the others constant ones, 0 or `full`.  Entry (A, lo, hi)
+    holds x when B(x) = A and lo <= x <= hi: the AND of the B planes of A
+    and the subset planes of lo, less the OR of the other B planes and of
+    the subset planes outside hi.  The bad subsets are those no entry holds.
+    """
+    n = G.n
+    width = min(n, _CHUNK_BITS)
+    full = (1 << (1 << width)) - 1
+    low = _index_planes(width)
+    entries = [  # indices into b + planes: B_v at v, P_v at n + 1 + v
+        ([*_bits(e.mis_mask), *(n + 1 + v for v in _bits(lo))],
+         [*_bits(G.full_mask & ~e.mis_mask), *(n + 1 + v for v in _bits(G.full_mask & ~hi))])
+        for e, (lo, hi) in zip(C.entries, _interval_masks(C))
+    ]
+    for base in range(0, 1 << n, 1 << width):
+        planes = [0, *low, *(full if base >> i & 1 else 0 for i in range(width, n))]
+        cells = _locate_planes(G, planes, full) + planes
+        good = 0
+        for ons, offs in entries:
+            on = full
+            for i in ons:
+                on &= cells[i]
+            if on:
+                off = 0
+                for i in offs:
+                    off |= cells[i]
+                good |= on & ~off
+        bad = full ^ good
+        if bad:
+            return base + (bad & -bad).bit_length() - 1
+    return None
+
+
 def verify_all(G: Graph, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> list[CheckResult]:
     """Run the library's invariants on one graph.
 
     Up to `oracle_bound` vertices the coverage check reads the exact verdict,
     which raises RuntimeError if a subset lies in no interval, and the
-    location check walks all 2^n subsets; beyond that both are skipped with
-    a note.  An obstruction on a cover whose verdict is a partition raises
-    RuntimeError (CLI exit 3).  A bound above MAX_ORACLE_BOUND raises
+    location check runs the greedy of locate_generator on bit planes over
+    all 2^n subsets; beyond that both are skipped with a note.  An
+    obstruction on a cover whose verdict is a partition raises RuntimeError
+    (CLI exit 3).  A bound above MAX_ORACLE_BOUND raises
     ValueError before anything is computed.
     """
     _check_oracle_bound(oracle_bound)
@@ -55,14 +113,7 @@ def verify_all(G: Graph, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> list[Check
 
     if G.n <= oracle_bound:
         out.append(CheckResult("coverage", True, "every subset lies in some interval"))
-        # the greedy result must be a generator of the cover whose interval holds x
-        intervals = {e.mis_mask: iv for e, iv in zip(c.entries, _interval_masks(c))}
-        bad_locate = None
-        for x in range(1 << G.n):
-            iv = intervals.get(_locate_generator_mask(G, x))
-            if iv is None or iv[0] & ~x or x & ~iv[1]:
-                bad_locate = x
-                break
+        bad_locate = _first_bad_locate(G, c)
         out.append(
             CheckResult(
                 "locate_generator",

@@ -3,9 +3,9 @@
 Everything here works by brute force on plain Python sets, straight from the
 definitions, and touches only Graph.n and Graph.adj.  None of the package's
 bitmask machinery is reused, so agreement between the two is meaningful.
-The one exception is subset_histogram, which takes a computed cover and
-walks every subset of each interval's masks: it checks what the library
-concludes from a cover (coverage, repeats), not the cover itself.
+The exceptions are subset_histogram and first_bad_locate, which take a
+computed cover and read its masks: they check what the library concludes
+from a cover (coverage, repeats, location), not the cover itself.
 """
 
 from itertools import combinations
@@ -113,6 +113,45 @@ def subset_histogram(C) -> bytearray:
                 break
             s = (s - 1) & free
     return counts
+
+
+def locate_mask(G: Graph, x: int) -> int:
+    """locate_generator's greedy on one subset mask, one vertex at a time.
+
+    Members of x join in ascending order unless a neighbour already joined,
+    then the other vertices in descending order.
+    """
+    return _locate_with(_adjacency_masks(G), x)
+
+
+def _adjacency_masks(G: Graph) -> list[int]:
+    return [0] + [sum(1 << (u - 1) for u in G.adj[v]) for v in range(1, G.n + 1)]
+
+
+def _locate_with(adj: list[int], x: int) -> int:
+    n = len(adj) - 1
+    b = 0
+    order = [v for v in range(1, n + 1) if x >> (v - 1) & 1]
+    order += [v for v in range(n, 0, -1) if not x >> (v - 1) & 1]
+    for v in order:
+        if not adj[v] & b:
+            b |= 1 << (v - 1)
+    return b
+
+
+def first_bad_locate(G: Graph, C) -> int | None:
+    """The first subset x, in mask order, whose located generator's interval lacks x.
+
+    None when every x lies in the interval of the cover entry whose
+    generator locate_mask returns for it.
+    """
+    adj = _adjacency_masks(G)
+    intervals = {e.mis_mask: (e.lower_mask, e.upper_mask) for e in C.entries}
+    for x in range(1 << G.n):
+        iv = intervals.get(_locate_with(adj, x))
+        if iv is None or iv[0] & ~x or x & ~iv[1]:
+            return x
+    return None
 
 
 def tree_children(T: Graph, root: int) -> dict[int, set[int]]:

@@ -48,8 +48,9 @@ from misact import (
     sis,
     subset_multiplicity,
 )
-from misact.activities import _interval_masks, _locate_generator_mask, _overlapping_pairs
+from misact.activities import _columns, _interval_masks, _locate_planes, _overlapping_pairs
 from misact.graph import mask_of, set_of
+from misact.verify import _index_planes
 
 from reference import private_leaf_violations, subset_histogram
 from sample_graphs import (
@@ -155,13 +156,23 @@ def test_criterion_04_coverage_on_random_corpus(corpus):
     _report(4, ok, f"coverage on {checked} labelled graphs in {elapsed:.1f}s (budget 60s)")
 
 
+def located_generators(h):
+    """The greedy's generator mask for every subset x of h, indexed by x.
+
+    One pass of the plane greedy over the whole lattice, transposed back
+    into one mask per subset.
+    """
+    width = 1 << h.n
+    planes = _locate_planes(h, [0, *_index_planes(h.n)], (1 << width) - 1)
+    return _columns(planes[1:], width)
+
+
 def test_criterion_05_locate_generator_on_random_corpus(corpus):
     checked = 0
     for _, variants in corpus:
         for h in variants:
             reports: dict[int, tuple[int, int, int, int]] = {}
-            for x in range(1 << h.n):
-                b = _locate_generator_mask(h, x)
+            for x, b in enumerate(located_generators(h)):
                 if b not in reports:
                     rep = interval_of(h, set_of(b))
                     reports[b] = (

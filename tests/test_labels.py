@@ -23,7 +23,7 @@ from misact import (
     subs,
     subset_multiplicity,
 )
-from misact.graph import greedy_maximal_independent_set
+from misact.graph import greedy_maximal_independent_set, mask_of
 
 from sample_graphs import dense_five_overlapping
 
@@ -69,3 +69,10 @@ def test_subs_vertex_outside_range(v):
     text = f"vertex {v} is not a member of {sorted(MIS)}"
     with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
         subs(G, MIS, v)
+
+
+@pytest.mark.parametrize("labels, bad", [([0], "[0]"), ([3, -1, 0, -1], "[-1, 0]")])
+def test_mask_of_label_below_one(labels, bad):
+    with pytest.raises(ValueError, match=rf"^labels {re.escape(bad)} below 1$"):
+        mask_of(labels)
+    assert mask_of([1, 3]) == 0b101

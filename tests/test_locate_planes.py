@@ -1,0 +1,125 @@
+"""The greedy of locate_generator on bit planes, and verify's location check built on it."""
+
+import random
+import tracemalloc
+
+import pytest
+
+import misact.activities
+import misact.verify
+from misact import Cover, cover, random_graph, verify_all
+from misact.activities import _locate_generator_mask
+from misact.graph import _bits, set_of
+from misact.verify import _first_bad_locate
+
+from reference import first_bad_locate, locate_mask
+from sample_graphs import all_named_graphs, dense_five_partition, hub_five
+
+SEED = 20261018
+
+
+def by_name(checks):
+    return {c.name: c for c in checks}
+
+
+def seeded_graphs(count, max_n):
+    rng = random.Random(SEED)
+    return [random_graph(i % (max_n + 1), rng.uniform(0.1, 0.7), rng=rng) for i in range(count)]
+
+
+class TestOneBitPlanes:
+    @pytest.mark.parametrize(
+        "g", [g for g in all_named_graphs() if g.n <= 8] + seeded_graphs(60, 8)
+    )
+    def test_matches_the_loop_on_every_subset(self, g):
+        for x in range(1 << g.n):
+            assert _locate_generator_mask(g, x) == locate_mask(g, x)
+
+
+@pytest.fixture(scope="module")
+def lattice_cases():
+    """(graph, cover or None, reference first bad subset) for each graph's own
+    cover (None: verify_all computes it) and for its cover less one entry,
+    whose subsets then fail the location check."""
+    out = []
+    for i, g in enumerate(all_named_graphs() + seeded_graphs(300, 14)):
+        c = cover(g)
+        j = i % len(c.entries)
+        short = Cover(c.n, c.entries[:j] + c.entries[j + 1:])
+        out += [(g, None, first_bad_locate(g, c)), (g, short, first_bad_locate(g, short))]
+    return out
+
+
+@pytest.mark.parametrize("chunk_bits", [None, 3])
+def test_first_bad_matches_the_reference(monkeypatch, lattice_cases, chunk_bits):
+    if chunk_bits is not None:  # several chunks, and constant planes above the low bits
+        monkeypatch.setattr(misact.verify, "_CHUNK_BITS", chunk_bits)
+    for g, C, expected in lattice_cases:
+        if C is None:
+            check = by_name(verify_all(g))["locate_generator"]
+            assert expected is None and check.passed
+        else:
+            assert _first_bad_locate(g, C) == expected
+
+
+def ascending_twice(G, planes, full):
+    """_locate_planes with its second pass run ascending, as the first."""
+    b = [0] * (G.n + 1)
+    for v in G.vertices:
+        block = 0
+        for u in _bits(G.adj_mask[v] & ((1 << (v - 1)) - 1)):
+            block |= b[u]
+        b[v] = planes[v] & ~block
+    for v in G.vertices:
+        block = planes[v]
+        for u in _bits(G.adj_mask[v]):
+            block |= b[u]
+        b[v] |= full & ~block
+    return b
+
+
+class TestMutations:
+    @pytest.mark.parametrize("g", all_named_graphs(), ids=lambda g: f"n{g.n}")
+    def test_second_pass_ascending_is_flagged(self, monkeypatch, g):
+        monkeypatch.setattr(misact.verify, "_locate_planes", ascending_twice)
+        assert not by_name(verify_all(g))["locate_generator"].passed
+
+    @pytest.mark.parametrize("dropped", range(1, 6))
+    def test_dropped_plane_is_flagged(self, monkeypatch, dropped):
+        def without_plane(G, planes, full):
+            b = misact.activities._locate_planes(G, planes, full)
+            b[dropped] = 0
+            return b
+
+        monkeypatch.setattr(misact.verify, "_locate_planes", without_plane)
+        # every vertex lies in some maximal independent set, which locates itself
+        assert not by_name(verify_all(hub_five()))["locate_generator"].passed
+
+    def test_cube_off_by_one_bit_is_flagged(self, monkeypatch):
+        g = dense_five_partition()  # a partition: each subset's interval is the located one
+        masks = misact.activities._interval_masks(cover(g))
+        for i, (lo, hi) in enumerate(masks):
+            for v in _bits(hi & ~lo):
+                bit = 1 << (v - 1)
+                for cube in ((lo | bit, hi), (lo, hi & ~bit)):
+                    shifted = masks[:i] + [cube] + masks[i + 1:]
+                    monkeypatch.setattr(misact.verify, "_interval_masks", lambda C: shifted)
+                    # the first subset, in mask order, the shrunken cube lost
+                    bad = next(x for x in range(1 << g.n)
+                               if not (lo & ~x or x & ~hi) and (cube[0] & ~x or x & ~cube[1]))
+                    check = by_name(verify_all(g))["locate_generator"]
+                    assert not check.passed
+                    assert check.detail == f"fails for {sorted(set_of(bad))}"
+
+
+def test_peak_memory_stays_flat():
+    # unchunked, each of the ~60 planes over 2^20 subsets would take 128 KB
+    g = random_graph(20, 0.3, seed=7)
+    tracemalloc.start()
+    try:
+        checks = verify_all(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert by_name(checks)["locate_generator"].passed
+    assert peak < 1 << 20

@@ -83,8 +83,11 @@ class TestVerifyAllCore:
         # entries with and without a lower endpoint, so each side of the check is exercised
         assert any(e.lower_mask for e in entries) and not all(e.lower_mask for e in entries)
         for entry in entries:
-            monkeypatch.setattr(misact.verify, "_locate_generator_mask",
-                                lambda G, x: entry.mis_mask)
+            # every subset located to this generator: B_v is full exactly for its members
+            monkeypatch.setattr(
+                misact.verify, "_locate_planes",
+                lambda G, planes, full: [0] + [full if entry.mis_mask >> (v - 1) & 1 else 0
+                                               for v in G.vertices])
             # the first subset, in mask order, outside that generator's interval
             bad = next(x for x in range(1 << g.n)
                        if entry.lower_mask & ~x or x & ~entry.upper_mask)
@@ -128,7 +131,8 @@ class TestVerifyAllCore:
 
     def test_locate_reporting_a_non_generator_fails(self, monkeypatch):
         # the empty set is independent but not maximal, so no cover entry has it
-        monkeypatch.setattr(misact.verify, "_locate_generator_mask", lambda G, x: 0)
+        monkeypatch.setattr(misact.verify, "_locate_planes",
+                            lambda G, planes, full: [0] * (G.n + 1))
         check = by_name(verify_all(hub_five()))["locate_generator"]
         assert not check.passed
         assert check.detail == "fails for []"
