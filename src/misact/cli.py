@@ -139,7 +139,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         predicted = fam.cover(**values)
         report = {
             "family": args.family,
-            "params": {"n": args.n, "m": args.m},
+            "params": values,
             **cover_report(predicted, verdict),
             "verified": predicted.entries == computed.entries and verdict.is_partition,
         }

@@ -195,6 +195,18 @@ class TestCliCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["verified"] is True
 
+    @pytest.mark.parametrize(
+        "argv, params",
+        [
+            (["kn", "--n", "3", "--m", "7"], {"n": 3}),
+            (["kn", "--n", "3"], {"n": 3}),
+            (["join", "--m", "2", "--n", "3"], {"n": 3, "m": 2}),
+        ],
+    )
+    def test_predict_echoes_the_parameters_it_read(self, argv, params, capsys):
+        assert run(["predict", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["params"] == params
+
     def test_predict_pendant_non_partition_still_verified(self, capsys):
         assert run(["predict", "pendant", "--sizes", "1,0,1"]) == 0
         report = json.loads(capsys.readouterr().out)
