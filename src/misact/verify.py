@@ -12,10 +12,10 @@ from typing import Sequence
 
 from .activities import (
     DEFAULT_ORACLE_BOUND,
+    Cover,
     _check_oracle_bound,
     _interval_masks,
     _locate_planes,
-    Cover,
     cover,
     int_active,
     partition_verdict,
@@ -24,8 +24,8 @@ from .complete import _internally_complete, _obstructions, externally_complete, 
 from .families import FAMILIES
 from .graph import (
     Graph,
-    enumerate_maximal_independent_sets,  # noqa: F401  bench/spans.py traces it here
     _bits,
+    enumerate_maximal_independent_sets,  # noqa: F401  bench/spans.py traces it here
     set_of,
 )
 
@@ -70,7 +70,7 @@ def _first_bad_locate(G: Graph, C: Cover) -> int | None:
     width = min(n, _CHUNK_BITS)
     full = (1 << (1 << width)) - 1
     low = _index_planes(width)
-    entries = [  # indices into b + planes: B_v at v, P_v at n + 1 + v
+    entries = [  # indices into cells: B_v at v, P_v at n + 1 + v
         ([*_bits(e.mis_mask), *(n + 1 + v for v in _bits(lo))],
          [*_bits(G.full_mask & ~e.mis_mask), *(n + 1 + v for v in _bits(G.full_mask & ~hi))])
         for e, (lo, hi) in zip(C.entries, _interval_masks(C))
@@ -102,8 +102,8 @@ def verify_all(G: Graph, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> list[Check
     location check runs the greedy of locate_generator on bit planes over
     all 2^n subsets; beyond that both are skipped with a note.  An
     obstruction on a cover whose verdict is a partition raises RuntimeError
-    (CLI exit 3).  A bound above MAX_ORACLE_BOUND raises
-    ValueError before anything is computed.
+    (CLI exit 3).  A bound above MAX_ORACLE_BOUND raises ValueError before
+    anything is computed.
     """
     _check_oracle_bound(oracle_bound)
     out: list[CheckResult] = []
