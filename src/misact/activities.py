@@ -58,7 +58,8 @@ __all__ = [
 # exact repeated-subset count, verify locates every one of the 2^n subsets,
 # and repeated_subsets_detail lists the repeated subsets.
 DEFAULT_ORACLE_BOUND = 25
-# No override may exceed this one: it caps the 2^bound subsets verify locates.
+# verify_all and repeated_subsets_detail refuse a larger bound: they walk or
+# list up to 2^bound subsets.  partition_verdict counts them and takes any bound.
 MAX_ORACLE_BOUND = 30
 # Exhaustive labelling search walks at most this many vertices' n! permutations.
 FACTORIAL_BOUND = 9

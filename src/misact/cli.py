@@ -29,7 +29,9 @@ from .complete import (
 )
 from .families import FAMILIES
 from .graph import Graph
-from .io import cover_report, emit_edge_list, parse_edge_list, to_json, verdict_report
+from .io import (
+    MAX_VERTICES, cover_report, emit_edge_list, parse_edge_list, to_json, verdict_report
+)
 from .pruned import pruned_instance, pruned_partition
 from .verify import verify_all, verify_family
 
@@ -67,12 +69,21 @@ def _parse_sizes(raw: str) -> list[int]:
 
 
 def _family_values(args: argparse.Namespace) -> dict:
-    """The family's parameters by name; a pendant clique has one vertex per block."""
-    params = FAMILIES[args.family].params
-    if "sizes" in params:
+    """The family's parameters by name; a pendant clique has one vertex per block.
+
+    Like an edge-list header, an instance above MAX_VERTICES is refused unbuilt.
+    """
+    fam = FAMILIES[args.family]
+    if "sizes" in fam.params:
         sizes = _parse_sizes(_need(args, "sizes"))
-        return {"n": len(sizes), "sizes": sizes}
-    return {p: _need(args, p) for p in params}
+        values = {"n": len(sizes), "sizes": sizes}
+    else:
+        values = {p: _need(args, p) for p in fam.params}
+    if (count := fam.vertices(**values)) > MAX_VERTICES:
+        raise ValueError(
+            f"family '{args.family}': vertex count {count} exceeds the limit {MAX_VERTICES}"
+        )
+    return values
 
 
 def _need(args: argparse.Namespace, name: str):

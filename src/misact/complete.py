@@ -31,7 +31,6 @@ from .activities import (
 from .graph import (
     Graph,
     _bits,
-    _closed_mask,
     enumerate_maximal_independent_sets,  # noqa: F401  bench/spans.py traces it here
     is_maximal_independent,
     set_of,
@@ -171,7 +170,7 @@ def isolated_after_removal_check(G: Graph, v: int) -> tuple[bool, bool | None]:
     """
     G._check_vertex(v)
     bit = 1 << (v - 1)
-    rest = G.full_mask & ~_closed_mask(G, bit)
+    rest = G.full_mask & ~(bit | G.adj_mask[v])
     if all(G.adj_mask[u] & rest for u in _bits(rest)):
         return False, None
     return True, all(e.int_mask for e in cover(G).entries if e.mis_mask & bit)

@@ -11,7 +11,7 @@ holds everything the CLI and the verifier know about it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, count
+from itertools import combinations, count, islice
 from typing import Callable, Iterable, Sequence
 
 from .activities import ActivityReport, Cover
@@ -94,9 +94,7 @@ def pendant_partition_predicate(sizes: Sequence[int]) -> bool:
 
 
 @dataclass(frozen=True)
-class SdsDecomposition:
-    """m written as (n-1) + (n-2) + ... with a short final part."""
-
+class _Decomposition:
     m: int
     n: int
     parts: tuple[int, ...]
@@ -107,16 +105,13 @@ class SdsDecomposition:
 
 
 @dataclass(frozen=True)
-class SisDecomposition:
+class SdsDecomposition(_Decomposition):
+    """m written as (n-1) + (n-2) + ... with a short final part."""
+
+
+@dataclass(frozen=True)
+class SisDecomposition(_Decomposition):
     """m written as 1 + 2 + 3 + ... with a short final part."""
-
-    m: int
-    n: int
-    parts: tuple[int, ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.parts)
 
 
 def _parts(m: int, caps: Iterable[int]) -> tuple[int, ...]:
@@ -154,15 +149,13 @@ def _check_edge_count(n: int, m: int) -> None:
 def lex_graph(n: int, m: int) -> Graph:
     """First m vertex pairs in lexicographic order: 12, 13, ..., 1n, 23, ..."""
     _check_edge_count(n, m)
-    pairs = list(combinations(range(1, n + 1), 2))  # already lex ordered
-    return Graph(n, pairs[:m])
+    return Graph(n, islice(combinations(range(1, n + 1), 2), m))
 
 
 def colex_graph(n: int, m: int) -> Graph:
     """First m vertex pairs in colexicographic order: 12, 13, 23, 14, 24, ..."""
     _check_edge_count(n, m)
-    pairs = sorted(combinations(range(1, n + 1), 2), key=lambda e: (e[1], e[0]))
-    return Graph(n, pairs[:m])
+    return Graph(n, islice(((i, j) for j in range(2, n + 1) for i in range(1, j)), m))
 
 
 def lex_neighborhoods(n: int, m: int) -> dict[int, frozenset[int]]:
@@ -304,7 +297,7 @@ class Family:
     has either a closed-form `cover` or, when only partition-hood is known,
     a `partition` predicate on its pendant-block sizes.  `neighborhoods`
     maps (n, m) to closed-form neighbourhoods, or to None where the formula
-    does not apply.
+    does not apply.  `vertices` counts an instance's vertices from the params.
     """
 
     params: tuple[str, ...]
@@ -312,13 +305,15 @@ class Family:
     cover: Callable[..., Cover] | None = None
     partition: Callable[[Sequence[int]], bool] | None = None
     neighborhoods: Callable[[int, int], dict[int, frozenset[int]] | None] | None = None
+    vertices: Callable[..., int] = lambda n, **_: n
 
 
 FAMILIES: dict[str, Family] = {
     "kn": Family(("n",), complete_graph, predicted_cover_kn),
-    "join": Family(("n", "m"), kn_plus_em, predicted_cover_join),
+    "join": Family(("n", "m"), kn_plus_em, predicted_cover_join, vertices=lambda n, m: n + m),
     "pendant": Family(("n", "sizes"), kn_with_pendants,
-                      partition=pendant_partition_predicate),
+                      partition=pendant_partition_predicate,
+                      vertices=lambda n, sizes: n + sum(sizes)),
     "lex": Family(("n", "m"), lex_graph, predicted_cover_lex,
                   neighborhoods=lambda n, m: lex_neighborhoods(n, m) if m >= n else None),
     "colex": Family(("n", "m"), colex_graph, predicted_cover_colex,

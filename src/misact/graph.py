@@ -146,16 +146,13 @@ def _vertex_set_mask(G: Graph, S: Iterable[int]) -> int:
 
 def open_neighborhood(G: Graph, S: Iterable[int]) -> frozenset[int]:
     """Union of the neighbourhoods of the members of S."""
-    m = _vertex_set_mask(G, S)
-    out = 0
-    for v in _bits(m):
-        out |= G.adj_mask[v]
-    return set_of(out)
+    return set_of(_open_mask(G, _vertex_set_mask(G, S)))
 
 
 def closed_neighborhood(G: Graph, S: Iterable[int]) -> frozenset[int]:
     """open_neighborhood(G, S) together with S itself."""
-    return set_of(_closed_mask(G, _vertex_set_mask(G, S)))
+    m = _vertex_set_mask(G, S)
+    return set_of(m | _open_mask(G, m))
 
 
 def induced_subgraph(G: Graph, S: Iterable[int]) -> tuple[Graph, dict[int, int]]:
@@ -184,8 +181,8 @@ def _is_independent_mask(G: Graph, m: int) -> bool:
     return True
 
 
-def _closed_mask(G: Graph, m: int) -> int:
-    out = m
+def _open_mask(G: Graph, m: int) -> int:
+    out = 0
     for v in _bits(m):
         out |= G.adj_mask[v]
     return out
@@ -198,7 +195,8 @@ def is_independent(G: Graph, S: Iterable[int]) -> bool:
 
 def is_dominating(G: Graph, S: Iterable[int]) -> bool:
     """True when every vertex is in S or adjacent to a member of S."""
-    return _closed_mask(G, _vertex_set_mask(G, S)) == G.full_mask
+    m = _vertex_set_mask(G, S)
+    return (m | _open_mask(G, m)) == G.full_mask
 
 
 def is_maximal_independent(G: Graph, S: Iterable[int]) -> bool:
@@ -208,47 +206,31 @@ def is_maximal_independent(G: Graph, S: Iterable[int]) -> bool:
     a vertex can be added exactly when it is undominated.
     """
     m = _vertex_set_mask(G, S)
-    return _is_independent_mask(G, m) and _closed_mask(G, m) == G.full_mask
+    return _is_independent_mask(G, m) and (m | _open_mask(G, m)) == G.full_mask
 
 
-def _mis_by_pivot(G: Graph) -> list[int]:
+def _mis_by_pivot(G: Graph) -> Iterator[int]:
     """Maximal cliques of the complement graph, found with a pivoting search.
 
-    The search runs on an explicit stack of frames [r, p, x, candidates], so
-    its depth (one level per member) is not bounded by Python's recursion
-    limit.  Each frame takes its candidates in ascending label order.
-    Isolated vertices lie in every maximal independent set, so the search
-    starts with them in r and runs on the other vertices only.
+    Open branches (r, p, x) wait on an explicit stack, so the depth (one level
+    per member) is not bounded by Python's recursion limit.  Isolated vertices
+    lie in every maximal independent set, so r starts with them and the search
+    runs on the other vertices only.
     """
-    n = G.n
     full = G.full_mask
-    comp = [0] * (n + 1)
-    isolated = 0
-    for v in range(1, n + 1):
-        comp[v] = full & ~G.adj_mask[v] & ~(1 << (v - 1))
-        if not G.adj_mask[v]:
-            isolated |= 1 << (v - 1)
-    out: list[int] = []
-    stack: list[list[int]] = []
-    r, p, x = isolated, full & ~isolated, 0
-    while True:
-        if p or x:
-            pivot = max(_bits(p | x), key=lambda u: (p & comp[u]).bit_count())
-            stack.append([r, p, x, p & ~comp[pivot]])
-        else:
-            out.append(r)
-        while stack and not stack[-1][3]:
-            stack.pop()
-        if not stack:
-            return out
-        frame = stack[-1]
-        r, p, x, cand = frame
-        bit = cand & -cand
-        frame[1] = p & ~bit
-        frame[2] = x | bit
-        frame[3] = cand ^ bit
-        v = bit.bit_length()
-        r, p, x = r | bit, p & comp[v], x & comp[v]
+    comp = [0] + [full & ~(G.adj_mask[v] | 1 << (v - 1)) for v in G.vertices]
+    isolated = mask_of(v for v in G.vertices if not G.adj_mask[v])
+    stack = [(isolated, full & ~isolated, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        if not p | x:
+            yield r
+            continue
+        pivot = max(_bits(p | x), key=lambda u: (p & comp[u]).bit_count())
+        for v in _bits(p & ~comp[pivot]):  # move each candidate from p to x in turn
+            bit = 1 << (v - 1)
+            stack.append((r | bit, p & comp[v], x & comp[v]))
+            p, x = p ^ bit, x | bit
 
 
 def _mis_masks(G: Graph) -> list[int]:

@@ -88,11 +88,6 @@ def emit_edge_list(G: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _vl(s) -> list[int]:
-    """Vertex list, ascending; the JSON spelling of a vertex set."""
-    return sorted(s)
-
-
 def cover_report(C: Cover, verdict: PartitionVerdict) -> dict[str, Any]:
     return {
         "n": C.n,
@@ -114,10 +109,10 @@ def verdict_report(verdict: PartitionVerdict) -> dict[str, Any]:
     witness = None
     if verdict.witness is not None:
         witness = {
-            "subset": _vl(verdict.witness.subset),
+            "subset": sorted(verdict.witness.subset),
             "generators": [
-                _vl(verdict.witness.generator_a),
-                _vl(verdict.witness.generator_b),
+                sorted(verdict.witness.generator_a),
+                sorted(verdict.witness.generator_b),
             ],
         }
     return {

@@ -1,5 +1,6 @@
 """Edge-list round-trips, JSON determinism, commands and exit codes."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -392,6 +393,34 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: line 1: vertex count {MAX_VERTICES + 1} exceeds the limit {MAX_VERTICES}\n"
         )
+
+    # each family's arguments for an instance with `count` vertices
+    FAMILY_ARGS = {
+        "kn": lambda count: ["--n", str(count)],
+        "join": lambda count: ["--n", "1", "--m", str(count - 1)],
+        "pendant": lambda count: ["--sizes", str(count - 1)],
+        "lex": lambda count: ["--n", str(count), "--m", "0"],
+        "colex": lambda count: ["--n", str(count), "--m", "0"],
+    }
+
+    @pytest.mark.parametrize("command", [["generate"], ["predict"], ["verify", "--family"]])
+    @pytest.mark.parametrize("family", sorted(FAMILY_ARGS))
+    def test_family_vertex_count_over_limit(self, family, command, capsys, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def build(**params):
+            raise Built(params)
+
+        monkeypatch.setitem(FAMILIES, family, dataclasses.replace(FAMILIES[family], graph=build))
+        args = self.FAMILY_ARGS[family]
+        assert run([*command, family, *args(MAX_VERTICES + 1)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: family '{family}': vertex count {MAX_VERTICES + 1} "
+            f"exceeds the limit {MAX_VERTICES}\n"
+        )
+        with pytest.raises(Built):
+            run([*command, family, *args(MAX_VERTICES)])  # the limit itself is built
 
     def test_oracle_bound_over_limit(self, tmp_path, capsys):
         # a small graph, so a missing check would not allocate 2^60 bytes

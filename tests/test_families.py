@@ -1,10 +1,15 @@
 """Closed-form covers: cliques, joins, pendants, lex and colex graphs."""
 
-from itertools import product
+import dataclasses
+import tracemalloc
+from itertools import combinations, product
 
 import pytest
 
 from misact import (
+    Graph,
+    SdsDecomposition,
+    SisDecomposition,
     colex_graph,
     colex_neighborhoods,
     complete_graph,
@@ -148,6 +153,21 @@ class TestDecompositions:
         with pytest.raises(ValueError):
             sis(11, 5)
 
+    def test_value_semantics(self):
+        # both kinds share one frozen base but stay distinct types
+        assert repr(sds(6, 4)) == "SdsDecomposition(m=6, n=4, parts=(3, 2, 1))"
+        assert repr(sis(4, 4)) == "SisDecomposition(m=4, n=4, parts=(1, 2, 1))"
+        assert sds(6, 4) == SdsDecomposition(m=6, n=4, parts=(3, 2, 1))
+        assert hash(sds(6, 4)) == hash(SdsDecomposition(m=6, n=4, parts=(3, 2, 1)))
+        assert SdsDecomposition(m=3, n=3, parts=(2, 1)) != SisDecomposition(
+            m=3, n=3, parts=(2, 1)
+        )
+        for d in (sds(6, 4), sis(4, 4)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                d.m = 0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                d.extra = 0
+
     def _sds_candidates(self, m, n):
         out = []
         for k in range(1, n):
@@ -200,6 +220,26 @@ class TestLexColexConstruction:
     def test_full_edge_budget_is_clique(self):
         assert lex_graph(5, 10) == complete_graph(5)
         assert colex_graph(5, 10) == complete_graph(5)
+
+    def test_matches_sorted_pair_prefix(self):
+        for n in range(0, 10):
+            lex = list(combinations(range(1, n + 1), 2))
+            colex = sorted(lex, key=lambda e: (e[1], e[0]))
+            for m in range(0, pairs(n) + 1):
+                assert lex_graph(n, m) == Graph(n, lex[:m]), (n, m)
+                assert colex_graph(n, m) == Graph(n, colex[:m]), (n, m)
+
+    @pytest.mark.parametrize("build", [lex_graph, colex_graph])
+    def test_few_edges_of_many_pairs_stay_small(self, build):
+        # the 4.5 million pairs of n=3000 are never materialised
+        tracemalloc.start()
+        try:
+            g = build(3000, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count() == 5
+        assert peak < 5 * 2**20
 
 
 class TestNeighborhoodFormulas:

@@ -166,6 +166,13 @@ class TestEnumeration:
         rest = ((1 << 1200) - 1) & ~0b111
         assert _mis_masks(g) == [rest | 0b101, rest | 0b010]
 
+    def test_deep_search_without_isolated_vertices(self):
+        # K_{600,600}: the isolated-vertex seed is empty, so the search itself
+        # descends 600 levels to reach either side
+        side = (1 << 600) - 1
+        g = Graph(1200, [(u, v) for u in range(1, 601) for v in range(601, 1201)])
+        assert _mis_masks(g) == [side, side << 600]
+
     def test_isolated_vertices_match_brute_mis(self):
         # isolated vertices seed every search; the rest is enumerated as usual
         assert _mis_masks(Graph(0)) == [0]
