@@ -513,12 +513,15 @@ def search_labelling(
     by FACTORIAL_BOUND) so ties resolve to the lexicographically smallest
     permutation; it stops early once a partition shows up.  Random mode tries
     the identity and then `budget - 1` seeded shuffles; the seed is recorded
-    in the result so runs can be reproduced.
+    in the result so runs can be reproduced.  Only random mode takes `budget`
+    and `seed`.
     """
     if budget is not None and budget <= 0:
         raise ValueError("budget must be positive")
     if mode not in ("exhaustive", "random"):
         raise ValueError("mode must be 'exhaustive' or 'random'")
+    if mode == "exhaustive" and (budget is not None or seed is not None):
+        raise ValueError("budget and seed apply to random mode only")
     if G.n > DEFAULT_ORACLE_BOUND:
         raise ValueError("labelling search needs exact repeat counts; graph too large")
 

@@ -291,6 +291,9 @@ def run(argv: Sequence[str]) -> int:
     except (ValueError, OSError) as exc:  # EdgeListError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR

@@ -70,11 +70,11 @@ class Graph:
     """Immutable simple graph whose vertices are exactly 1..n.
 
     Self-loops are rejected, duplicate edges collapse, and adjacency is
-    kept symmetric.  ``adj[v]`` is the open neighbourhood of v as a
-    frozenset; ``adj_mask[v]`` is the same neighbourhood as a bitmask.
+    kept symmetric.  The bitmasks are the only storage: ``adj_mask[v]`` is
+    the open neighbourhood of v, and ``neighbors(v)`` gives it as a frozenset.
     """
 
-    __slots__ = ("n", "adj", "adj_mask", "full_mask")
+    __slots__ = ("n", "adj_mask", "full_mask")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
@@ -89,7 +89,6 @@ class Graph:
             masks[v] |= 1 << (u - 1)
         self.n = n
         self.adj_mask = tuple(masks)
-        self.adj = tuple(set_of(m) for m in masks)
         self.full_mask = (1 << n) - 1
 
     @property
@@ -102,23 +101,23 @@ class Graph:
 
     def neighbors(self, v: int) -> frozenset[int]:
         self._check_vertex(v)
-        return self.adj[v]
+        return set_of(self.adj_mask[v])
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self.adj[v])
+        return self.adj_mask[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return v in self.adj[u]
+        return bool(self.adj_mask[u] >> (v - 1) & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted."""
-        return [(u, v) for u in self.vertices for v in sorted(self.adj[u]) if u < v]
+        return [(u, v) for u in self.vertices for v in _bits(self.adj_mask[u] >> u << u)]
 
     def edge_count(self) -> int:
-        return sum(len(self.adj[v]) for v in self.vertices) // 2
+        return sum(m.bit_count() for m in self.adj_mask) // 2
 
     def _check_vertex(self, v: int) -> None:
         if not (1 <= v <= self.n):
@@ -160,15 +159,14 @@ def induced_subgraph(G: Graph, S: Iterable[int]) -> tuple[Graph, dict[int, int]]
 
     Returns the new graph and the old-to-new label map.
     """
-    keep = sorted(set_of(_vertex_set_mask(G, S)))
-    old_to_new = {old: i + 1 for i, old in enumerate(keep)}
+    keep = _vertex_set_mask(G, S)
+    old_to_new = {old: i + 1 for i, old in enumerate(_bits(keep))}
     edges = [
         (old_to_new[u], old_to_new[v])
-        for u in keep
-        for v in G.adj[u]
-        if v in old_to_new and u < v
+        for u in old_to_new
+        for v in _bits((G.adj_mask[u] & keep) >> u << u)  # kept neighbours above u
     ]
-    return Graph(len(keep), edges), old_to_new
+    return Graph(len(old_to_new), edges), old_to_new
 
 
 def _is_independent_mask(G: Graph, m: int) -> bool:

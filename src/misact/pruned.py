@@ -114,7 +114,7 @@ def compute_levels(T: Graph, root: int) -> RootedLevels:
     q = deque([root])
     while q:
         v = q.popleft()
-        for u in T.adj[v]:
+        for u in _bits(T.adj_mask[v]):
             if u not in level:
                 level[u] = level[v] + 1
                 parent[u] = v
@@ -125,10 +125,7 @@ def compute_levels(T: Graph, root: int) -> RootedLevels:
     level_sets = tuple(
         frozenset(v for v, l in level.items() if l == k) for k in range(1, height + 1)
     )
-    children = {
-        v: frozenset(u for u in T.adj[v] if level[u] == level[v] + 1)
-        for v in T.vertices
-    }
+    children = {v: set_of(T.adj_mask[v]) - {parent[v]} for v in T.vertices}
     return RootedLevels(
         root=root,
         level=level,
@@ -268,7 +265,7 @@ def _children_of(instance: PrunedInstance, S: Iterable[int], mode: str) -> froze
         if mode == "tree":
             out |= instance.levels.children[v]
         else:
-            out |= {u for u in instance.host.adj[v] if lv[u] > lv[v]}
+            out |= {u for u in _bits(instance.host.adj_mask[v]) if lv[u] > lv[v]}
     return frozenset(out)
 
 

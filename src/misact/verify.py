@@ -214,7 +214,7 @@ def verify_family(family: str, n: int, m: int = 0,
         out.append(
             CheckResult(
                 "neighborhood_formula",
-                all(formulas[v] == G.adj[v] for v in G.vertices),
+                all(formulas[v] == G.neighbors(v) for v in G.vertices),
                 "closed-form neighbourhoods match adjacency",
             )
         )

@@ -1,8 +1,9 @@
 """Reference implementations used as oracles.
 
 Everything here works by brute force on plain Python sets, straight from the
-definitions, and touches only Graph.n and Graph.adj.  None of the package's
-bitmask machinery is reused, so agreement between the two is meaningful.
+definitions, and touches only Graph.n and Graph.neighbors.  None of the
+package's bitmask machinery is reused, so agreement between the two is
+meaningful.
 The exceptions are subset_histogram and first_bad_locate, which take a
 computed cover and read its masks: they check what the library concludes
 from a cover (coverage, repeats, location), not the cover itself.
@@ -21,13 +22,13 @@ def subsets(n: int):
 
 
 def brute_independent(G: Graph, S) -> bool:
-    return all(v not in G.adj[u] for u, v in combinations(sorted(S), 2))
+    return all(v not in G.neighbors(u) for u, v in combinations(sorted(S), 2))
 
 
 def brute_dominating(G: Graph, S) -> bool:
     covered = set(S)
     for v in S:
-        covered |= G.adj[v]
+        covered |= G.neighbors(v)
     return len(covered) == G.n
 
 
@@ -43,14 +44,14 @@ def brute_mis(G: Graph) -> list[frozenset[int]]:
 def brute_ext(G: Graph, A) -> frozenset[int]:
     A = frozenset(A)
     return frozenset(
-        v for a in A for v in G.adj[a] if v > a and v not in A
+        v for a in A for v in G.neighbors(a) if v > a and v not in A
     )
 
 
 def brute_subs(G: Graph, A, v: int) -> frozenset[int]:
     rest = frozenset(A) - {v}
     return frozenset(
-        u for u in G.adj[v] if brute_independent(G, rest | {u})
+        u for u in G.neighbors(v) if brute_independent(G, rest | {u})
     )
 
 
@@ -125,7 +126,7 @@ def locate_mask(G: Graph, x: int) -> int:
 
 
 def _adjacency_masks(G: Graph) -> list[int]:
-    return [0] + [sum(1 << (u - 1) for u in G.adj[v]) for v in range(1, G.n + 1)]
+    return [0] + [sum(1 << (u - 1) for u in G.neighbors(v)) for v in range(1, G.n + 1)]
 
 
 def _locate_with(adj: list[int], x: int) -> int:
@@ -162,7 +163,7 @@ def tree_children(T: Graph, root: int) -> dict[int, set[int]]:
     while frontier:
         nxt = []
         for v in frontier:
-            for u in T.adj[v]:
+            for u in T.neighbors(v):
                 if u not in seen:
                     seen.add(u)
                     children[v].add(u)
@@ -184,7 +185,7 @@ def private_leaf_violations(T: Graph, H: Graph, root: int) -> frozenset[int]:
     return frozenset(
         v
         for v, ch in children.items()
-        if ch and not any(H.adj[l] - {v} <= H.adj[v] for l in ch & leaves)
+        if ch and not any(H.neighbors(l) - {v} <= H.neighbors(v) for l in ch & leaves)
     )
 
 
@@ -195,8 +196,8 @@ def brute_isolated_after_removal(G: Graph, v: int) -> tuple[bool, bool | None]:
     remaining neighbour; then every maximal independent set holding v must
     have a non-empty internal activity set.
     """
-    keep = frozenset(range(1, G.n + 1)) - G.adj[v] - {v}
-    if all(G.adj[u] & keep for u in keep):
+    keep = frozenset(range(1, G.n + 1)) - G.neighbors(v) - {v}
+    if all(G.neighbors(u) & keep for u in keep):
         return False, None
     return True, all(brute_int(G, A) for A in brute_mis(G) if v in A)
 
@@ -210,7 +211,7 @@ def brute_tree_center(T: Graph) -> int:
         while frontier:
             nxt = []
             for v in frontier:
-                for u in T.adj[v]:
+                for u in T.neighbors(v):
                     if u not in dist:
                         dist[u] = dist[v] + 1
                         nxt.append(u)

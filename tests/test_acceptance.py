@@ -340,11 +340,11 @@ def test_criterion_12_lex_colex():
                     failures.append(f"{tag}({n},{m}) partition")
             g = lex_graph(n, m)
             if m >= n and any(
-                lex_neighborhoods(n, m)[v] != g.adj[v] for v in g.vertices
+                lex_neighborhoods(n, m)[v] != g.neighbors(v) for v in g.vertices
             ):
                 failures.append(f"lex({n},{m}) neighbourhoods")
             gc = colex_graph(n, m)
-            if any(colex_neighborhoods(n, m)[v] != gc.adj[v] for v in gc.vertices):
+            if any(colex_neighborhoods(n, m)[v] != gc.neighbors(v) for v in gc.vertices):
                 failures.append(f"colex({n},{m}) neighbourhoods")
     _report(12, not failures, "; ".join(failures[:3]) or "worked examples plus full n<=8 sweep")
 

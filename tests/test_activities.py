@@ -339,6 +339,11 @@ class TestLabellingSearch:
         with pytest.raises(ValueError, match="budget"):
             search_labelling(dense_five_overlapping(), budget=0, mode="random")
 
+    @pytest.mark.parametrize("extra", [{"budget": 2}, {"seed": 9}, {"budget": 2, "seed": 9}])
+    def test_exhaustive_rejects_budget_and_seed(self, extra):
+        with pytest.raises(ValueError, match="^budget and seed apply to random mode only$"):
+            search_labelling(wheel_five(), mode="exhaustive", **extra)
+
     def test_exhaustive_size_guard(self):
         with pytest.raises(ValueError, match="refused"):
             search_labelling(Graph(10), mode="exhaustive")

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import misact.activities
 import misact.cli
 import misact.complete
 import misact.verify
-from misact import Graph, emit_edge_list, parse_edge_list, random_graph
+from misact import Graph, complete_graph, emit_edge_list, parse_edge_list, random_graph
 from misact.cli import _build_parser, run
 from misact.families import FAMILIES
 from misact.io import MAX_VERTICES, EdgeListError, to_json
@@ -26,6 +27,7 @@ from sample_graphs import (
     layered_tree,
     tailed_triangle,
     ten_vertex_with_complete_a,
+    wheel_five,
 )
 
 
@@ -85,6 +87,19 @@ class TestEdgeListFormat:
                    for _ in range(20)]
         for g in graphs:
             assert parse_edge_list(emit_edge_list(g)) == g
+
+    def test_emit_dense_graph_without_edge_list(self):
+        # a list of all edges and their lines took 17 times the output (22 MB) here
+        g = complete_graph(600)
+        tracemalloc.start()
+        try:
+            text = emit_edge_list(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert text.startswith("600 179700\n1 2\n1 3\n")
+        assert text.endswith("598 600\n599 600\n")
+        assert peak < 4 * len(text)
 
 
 TRICKY_TEXT = st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f aZ\u00e9\u2028\u20ac\U0001f600')
@@ -250,6 +265,14 @@ class TestCliCommands:
         assert report["found_partition"] is True
         assert report["best_permutation"] == [1, 2, 4, 3, 5]
 
+    def test_search_labelling_exhaustive_rejects_budget_and_seed(self, tmp_path, capsys):
+        path = write_graph(tmp_path, wheel_five())
+        for extra in (["--budget", "2"], ["--seed", "9"], ["--budget", "2", "--seed", "9"]):
+            assert run(["search-labelling", path, *extra]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: budget and seed apply to random mode only\n"
+
     def test_search_labelling_random_echoes_seed(self, tmp_path, capsys):
         path = write_graph(tmp_path, dense_five_overlapping())
         assert run(["search-labelling", path, "--mode", "random", "--budget", "10"]) == 0
@@ -385,6 +408,17 @@ class TestExitCodes:
         assert captured.err == (
             "internal error: partition methods disagree on a covered lattice\n"
         )
+
+    def test_out_of_memory_exits_one(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(misact.cli, "cover", exhausted)
+        path = write_graph(tmp_path, tailed_triangle())
+        assert run(["cover", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory\n"
 
     def test_vertex_count_over_limit(self, tmp_path, capsys):
         path = tmp_path / "big.txt"

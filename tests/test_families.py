@@ -264,11 +264,11 @@ class TestNeighborhoodFormulas:
             for m in range(n, pairs(n) + 1):
                 g = lex_graph(n, m)
                 nb = lex_neighborhoods(n, m)
-                assert all(nb[v] == g.adj[v] for v in g.vertices), ("lex", n, m)
+                assert all(nb[v] == g.neighbors(v) for v in g.vertices), ("lex", n, m)
             for m in range(0, pairs(n) + 1):
                 g = colex_graph(n, m)
                 nb = colex_neighborhoods(n, m)
-                assert all(nb[v] == g.adj[v] for v in g.vertices), ("colex", n, m)
+                assert all(nb[v] == g.neighbors(v) for v in g.vertices), ("colex", n, m)
 
 
 class TestLexColexCovers:

@@ -1,6 +1,7 @@
 """Graph substrate: construction, set algebra, predicates, enumeration."""
 
 import random
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from misact import (
     Graph,
     closed_neighborhood,
+    complete_graph,
+    emit_edge_list,
     enumerate_maximal_independent_sets,
     greedy_maximal_independent_set,
     induced_subgraph,
@@ -16,6 +19,7 @@ from misact import (
     is_independent,
     is_maximal_independent,
     open_neighborhood,
+    parse_edge_list,
     random_graph,
     relabel,
 )
@@ -64,6 +68,44 @@ class TestConstruction:
         assert tailed_triangle() == tailed_triangle()
         assert tailed_triangle() != dense_five_overlapping()
         assert "n=5" in repr(tailed_triangle())
+
+    def test_dense_graph_keeps_only_masks(self):
+        # n masks of n bits: a frozenset per vertex as well took 24 MB here
+        n = 600
+        tracemalloc.start()
+        try:
+            g = complete_graph(n)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count() == n * (n - 1) // 2
+        assert retained < 4 * n * n // 8
+
+
+class TestAccessorsAgainstEdgeList:
+    # 63, 64 and 65 straddle a 64-bit word of the masks
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 63, 64, 65, 130])
+    def test_accessors_match_constructor_input(self, n):
+        rng = random.Random(n)
+        expected = [e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.4]
+        given = expected + rng.sample(expected, len(expected) // 3)  # duplicates
+        given = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in given]
+        rng.shuffle(given)
+        g = Graph(n, given)
+
+        assert g.edges() == expected
+        assert g.edge_count() == len(expected)
+        nbrs = {v: set() for v in range(1, n + 1)}
+        for u, v in expected:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        for u in g.vertices:
+            assert g.neighbors(u) == nbrs[u]
+            assert g.degree(u) == len(nbrs[u])
+            assert [v for v in g.vertices if g.has_edge(u, v)] == sorted(nbrs[u])
+        text = emit_edge_list(g)
+        assert text == f"{n} {len(expected)}\n" + "".join(f"{u} {v}\n" for u, v in expected)
+        assert parse_edge_list(text) == g
 
 
 class TestNeighborhoods:

@@ -307,7 +307,7 @@ class TestPrunedPartition:
         ):
             inst = pruned_instance(tree, host, 1)
             for leaf in inst.leaf_set_tree:
-                assert all(u < leaf for u in host.adj[leaf])
+                assert all(u < leaf for u in host.neighbors(leaf))
 
 
 class TestRandomInstances:
