@@ -198,12 +198,41 @@ def interval_of(G: Graph, A: Iterable[int]) -> ActivityReport:
     return ActivityReport(m, *_activity_masks(G, m))
 
 
+def _activity_planes(G: Graph, gens: list[int]) -> tuple[list[int], list[int]]:
+    """(Int, Ext) masks of each independent set in `gens`, by bit slicing.
+
+    Bit j of plane A_v says whether v lies in gens[j].  For each vertex u,
+    one pass over its neighbours finds the sets where u has one (`one`), two
+    or more (`two`), and one below u (`low`).  Outside A_u, `low` makes u
+    externally active; without `two`, u can also replace its one neighbour
+    v < u, which makes v internally passive.
+    """
+    adj, a = G.adj_mask, [0, *_columns(gens, G.n)]
+    passive = [0] * (G.n + 1)
+    ext = []
+    for u in G.vertices:
+        one = two = low = 0
+        for v in _bits(adj[u]):  # ascending, so `low` stops at the last v < u
+            two |= one & a[v]
+            one |= a[v]
+            if v < u:
+                low = one
+        ext.append(e := low & ~a[u])
+        if single := e & ~two:
+            for v in _bits(adj[u] & ((1 << (u - 1)) - 1)):
+                passive[v] |= single & a[v]
+    ints = [a[v] & ~passive[v] for v in G.vertices]
+    return _columns(ints, len(gens)), _columns(ext, len(gens))
+
+
 def cover(G: Graph) -> Cover:
     """Interval cover generated by all maximal independent sets, canonical order."""
-    return Cover(
-        n=G.n,
-        entries=tuple(ActivityReport(m, *_activity_masks(G, m)) for m in _mis_masks(G)),
-    )
+    gens = _mis_masks(G)
+    if len(gens) >= _INDEX_MIN:  # one bit-plane pass for every set's activities
+        entries = map(ActivityReport, gens, *_activity_planes(G, gens))
+    else:
+        entries = (ActivityReport(m, *_activity_masks(G, m)) for m in gens)
+    return Cover(n=G.n, entries=tuple(entries))
 
 
 def _locate_planes(G: Graph, planes: list[int], full: int) -> list[int]:
@@ -288,8 +317,11 @@ def _interval_masks(C: Cover) -> list[tuple[int, int]]:
     return [(e.lower_mask, e.upper_mask) for e in C.entries]
 
 
-# Covers with fewer entries skip the index: measured on G(n, p) and tree
-# covers with n 10-26, the index overtook the pair loop between 40 and 70.
+# Covers with fewer entries skip the bit-plane paths, where transposing
+# costs more than it saves.  Measured on G(n, p) with n 10-26 (and tree
+# covers for the index): the pair index overtook the pair loop between 40
+# and 70 entries, and _activity_planes overtook the per-set _activity_masks
+# between 50 and 60.
 _INDEX_MIN = 64
 # _BIT_DIGITS[b] maps each byte to the ASCII digit of its bit b.
 _BIT_DIGITS = [bytes(48 + (x >> b & 1) for x in range(256)) for b in range(8)]
@@ -304,8 +336,8 @@ def _columns(rows: list[int], width: int) -> list[int]:
     """
     size = (width + 7) // 8
     data = b"".join(r.to_bytes(size, "little") for r in reversed(rows))
-    return [
-        int(data[v >> 3::size].translate(_BIT_DIGITS[v & 7]), 2) for v in range(width)
+    return [  # without rows, every column is 0
+        int(data[v >> 3::size].translate(_BIT_DIGITS[v & 7]) or b"0", 2) for v in range(width)
     ]
 
 

@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 malformed input or domain error, 2 a verification
-or partition promise failed, 3 internal error (a cross-check inside the
-library failed), 64 usage error.  All reports are JSON on standard output
-except `generate`, which emits the edge-list text format.
+Exit codes: 0 success; 1 malformed input or domain error, out of memory, or an
+option refused for the chosen mode (exhaustive search-labelling takes no --budget
+or --seed); 2 a verification or partition promise failed; 3 internal error (a
+cross-check inside the library failed); 64 usage error.  All reports are JSON on
+standard output except `generate`, which emits the edge-list text format.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .complete import (
     partition_obstructions,  # noqa: F401  bench/spans.py traces it here
 )
 from .families import FAMILIES
-from .graph import Graph
+from .graph import Graph, mask_of
 from .io import (
     MAX_VERTICES, cover_report, emit_edge_list, parse_edge_list, to_json, verdict_report
 )
@@ -163,9 +164,8 @@ def _cmd_pruned(args: argparse.Namespace) -> int:
     host = _read_graph(args.host) if args.host else None
     instance = pruned_instance(tree, host, args.root)
     report_obj = pruned_partition(instance, leaf_mode=args.leaf_mode)
-    body = cover_report(report_obj.cover, report_obj.verdict)
-    for entry, fl in zip(body["entries"], report_obj.f_lowers):
-        entry["f_lower"] = sorted(fl)
+    f_lowers = [mask_of(fl) for fl in report_obj.f_lowers]
+    body = cover_report(report_obj.cover, report_obj.verdict, f_lowers)
     report = {
         "root": instance.root,
         "leaf_mode": report_obj.leaf_mode,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from functools import cache
-from typing import Any
+from typing import Any, Sequence
 
 from .activities import Cover, PartitionVerdict
 from .graph import Graph, _bits
@@ -87,21 +87,55 @@ def emit_edge_list(G: Graph) -> str:
     return "".join([f"{G.n} {G.edge_count()}\n", *chunks])  # one chunk per vertex, no edge list
 
 
-def cover_report(C: Cover, verdict: PartitionVerdict) -> dict[str, Any]:
-    return {
-        "n": C.n,
-        "entries": [
-            {
-                "mis": list(_bits(e.mis_mask)),
-                "int": list(_bits(e.int_mask)),
-                "ext": list(_bits(e.ext_mask)),
-                "lower": list(_bits(e.lower_mask)),
-                "upper": list(_bits(e.upper_mask)),
-            }
-            for e in C.entries
-        ],
-        **verdict_report(verdict),
-    }
+class _Rendered(str):
+    """JSON text that to_json writes as it stands."""
+
+
+class _ByteLines(dict):
+    """Byte value -> the list lines (comma, newline, indent, label) of the
+    labels its bits stand for at one byte offset, each made on first use."""
+
+    def __init__(self, offset: int) -> None:
+        self.base = 8 * offset + 1
+
+    def __missing__(self, x: int) -> str:
+        self[x] = text = "".join(f",\n        {self.base + i}" for i in range(8) if x >> i & 1)
+        return text
+
+
+# One table per byte offset, shared by every cover; it holds only the bytes met.
+_byte_lines = cache(_ByteLines)
+
+
+def cover_report(
+    C: Cover, verdict: PartitionVerdict, f_lowers: Sequence[int] | None = None
+) -> dict[str, Any]:
+    """The cover and its verdict, for the top level of a report.
+
+    "entries" is JSON text made from the masks: the list of {"mis", "int",
+    "ext", "lower", "upper"} vertex lists (and "f_lower" from the masks
+    `f_lowers`) as to_json would lay it out there.  Each vertex list is one
+    join of its mask's bytes, looked up in their offsets' tables.
+    """
+    tables = [_byte_lines(b) for b in range((C.n + 7) // 8)]
+    size = len(tables)
+
+    def vl(m: int) -> str:
+        lines = "".join(map(dict.__getitem__, tables, m.to_bytes(size, "little")))
+        return "[" + lines[1:] + "\n      ]" if m else "[]"
+
+    items = [
+        f'{{\n      "mis": {vl(e.mis_mask)},\n      "int": {vl(e.int_mask)},\n      "ext": '
+        f'{vl(e.ext_mask)},\n      "lower": {vl(e.lower_mask)},\n      "upper": {vl(e.upper_mask)}'
+        for e in C.entries
+    ]
+    if f_lowers is not None:
+        items = [f'{it},\n      "f_lower": {vl(m)}' for it, m in zip(items, f_lowers, strict=True)]
+    if items:  # brackets on the end items, so that only the join copies the whole text
+        items[0] = "[\n    " + items[0]
+        items[-1] += "\n    }\n  ]"
+    entries = _Rendered("\n    },\n    ".join(items) or "[]")
+    return {"n": C.n, "entries": entries, **verdict_report(verdict)}
 
 
 def verdict_report(verdict: PartitionVerdict) -> dict[str, Any]:
@@ -121,46 +155,20 @@ def verdict_report(verdict: PartitionVerdict) -> dict[str, Any]:
     }
 
 
-def to_json(payload: dict[str, Any]) -> str:
+def to_json(payload: Any) -> str:
     """`json.dumps(payload, indent=2) + "\n"`, byte for byte.
 
-    CPython runs its C encoder only without indentation, so the containers
-    are laid out here and keys and scalars go to `json.dumps`.  A list of
-    plain ints, such as a vertex list, is joined in one step.  Keys must be
-    strings.
+    Each top-level value goes to `json.dumps` and is indented one level;
+    text that cover_report rendered is written as it stands.  The top-level
+    keys must be strings.
     """
-    out: list[str] = []
-    digits = cache(str)  # vertex labels repeat: convert each once per call
-
-    def encode(value: Any, nl: str) -> None:
-        inner = nl + "  "
-        if isinstance(value, (list, tuple)):
-            if not value:
-                out.append("[]")
-            elif set(map(type, value)) == {int}:  # not bools: True == 1
-                out.append("[" + inner + ("," + inner).join(map(digits, value)) + nl + "]")
-            else:
-                sep = "[" + inner
-                for item in value:
-                    out.append(sep)
-                    encode(item, inner)
-                    sep = "," + inner
-                out.append(nl + "]")
-        elif isinstance(value, dict):
-            if not value:
-                out.append("{}")
-                return
-            sep = "{" + inner
-            for key, item in value.items():
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-                out.append(sep + json.dumps(key) + ": ")
-                encode(item, inner)
-                sep = "," + inner
-            out.append(nl + "}")
-        else:
-            out.append(json.dumps(value))
-
-    encode(payload, "\n")
-    out.append("\n")
-    return "".join(out)
+    if not isinstance(payload, dict) or not payload:
+        return json.dumps(payload, indent=2) + "\n"
+    parts = []
+    for key, value in payload.items():
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        if not isinstance(value, _Rendered):  # a newline in JSON text is layout
+            value = json.dumps(value, indent=2).replace("\n", "\n  ")
+        parts += (",\n  ", json.dumps(key), ": ", value)
+    return "".join(["{\n  ", *parts[1:], "\n}\n"])  # one copy of the rendered text

@@ -4,14 +4,16 @@ Everything here works by brute force on plain Python sets, straight from the
 definitions, and touches only Graph.n and Graph.neighbors.  None of the
 package's bitmask machinery is reused, so agreement between the two is
 meaningful.
-The exceptions are subset_histogram and first_bad_locate, which take a
-computed cover and read its masks: they check what the library concludes
-from a cover (coverage, repeats, location), not the cover itself.
+The exceptions are subset_histogram, first_bad_locate and
+cover_report_lists, which take a computed cover and read its masks: they
+check what the library concludes from a cover (coverage, repeats, location)
+or how it writes one, not the cover itself.
 """
 
 from itertools import combinations
 
 from misact import Graph
+from misact.io import verdict_report
 
 
 def subsets(n: int):
@@ -153,6 +155,28 @@ def first_bad_locate(G: Graph, C) -> int | None:
         if iv is None or iv[0] & ~x or x & ~iv[1]:
             return x
     return None
+
+
+def cover_report_lists(C, verdict, f_lowers=None) -> dict:
+    """The cover report as plain lists: one dict of five vertex lists per
+    entry, plus "f_lower" from the masks f_lowers when given."""
+
+    def labels(m):
+        return [v for v in range(1, C.n + 1) if m >> (v - 1) & 1]
+
+    entries = [
+        {
+            "mis": labels(e.mis_mask),
+            "int": labels(e.int_mask),
+            "ext": labels(e.ext_mask),
+            "lower": labels(e.lower_mask),
+            "upper": labels(e.upper_mask),
+        }
+        for e in C.entries
+    ]
+    for entry, m in zip(entries, f_lowers or ()):
+        entry["f_lower"] = labels(m)
+    return {"n": C.n, "entries": entries, **verdict_report(verdict)}
 
 
 def tree_children(T: Graph, root: int) -> dict[int, set[int]]:

@@ -378,6 +378,14 @@ class TestExitCodes:
     def test_domain_rejection(self, capsys):
         assert run(["generate", "lex", "--n", "4", "--m", "99"]) == 1
 
+    def test_help_names_every_exit_1_cause(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # argparse rewraps it
+        assert "out of memory" in text
+        assert "an option refused for the chosen mode" in text
+
     def test_pruned_labelling_violation(self, tmp_path, capsys):
         path = tmp_path / "path3.txt"
         path.write_text("3 2\n1 2\n2 3\n")
