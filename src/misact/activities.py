@@ -22,12 +22,14 @@ from .graph import (
     Graph,
     Interval,
     _bits,
+    _canonical_order,
     _is_independent_mask,
+    _mis_by_pivot,
     _mis_masks,
+    _relabelled,
     _vertex_set_mask,
     enumerate_maximal_independent_sets,  # noqa: F401  bench/spans.py traces it here
     is_maximal_independent,
-    relabel,
     set_of,
 )
 
@@ -225,14 +227,21 @@ def _activity_planes(G: Graph, gens: list[int]) -> tuple[list[int], list[int]]:
     return _columns(ints, len(gens)), _columns(ext, len(gens))
 
 
+def _activities(G: Graph, gens: list[int]) -> tuple[list[int], list[int]]:
+    """(Int, Ext) masks of each independent set in `gens`."""
+    if len(gens) >= _INDEX_MIN:  # one bit-plane pass for every set's activities
+        return _activity_planes(G, gens)
+    pairs = [_activity_masks(G, m) for m in gens]
+    return [i for i, _ in pairs], [e for _, e in pairs]
+
+
+def _cover_of(G: Graph, gens: list[int]) -> Cover:
+    return Cover(n=G.n, entries=tuple(map(ActivityReport, gens, *_activities(G, gens))))
+
+
 def cover(G: Graph) -> Cover:
     """Interval cover generated by all maximal independent sets, canonical order."""
-    gens = _mis_masks(G)
-    if len(gens) >= _INDEX_MIN:  # one bit-plane pass for every set's activities
-        entries = map(ActivityReport, gens, *_activity_planes(G, gens))
-    else:
-        entries = (ActivityReport(m, *_activity_masks(G, m)) for m in gens)
-    return Cover(n=G.n, entries=tuple(entries))
+    return _cover_of(G, _mis_masks(G))
 
 
 def _locate_planes(G: Graph, planes: list[int], full: int) -> list[int]:
@@ -464,8 +473,27 @@ def partition_verdict(C: Cover, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> Par
     the cover violates the coverage guarantee it was built under.
     """
     masks = _interval_masks(C)
-    full = (1 << C.n) - 1
-    if C.n <= oracle_bound:
+    repeated, meets = _repeats(C.n, masks, oracle_bound)
+    if not meets:
+        return PartitionVerdict(True, 0, None)
+    # Up to the bound, the smallest repeated subset.  Above it, the first overlapping pair's
+    # meet, whose first two holders are that pair: any earlier one would make an earlier pair.
+    x = min(lo for lo, _ in meets)
+    gens = _generators_containing(C, masks, x)
+    return PartitionVerdict(False, repeated, RepeatWitness(set_of(x), gens[0], gens[1]))
+
+
+def _repeats(
+    n: int, masks: list[tuple[int, int]], oracle_bound: int
+) -> tuple[int | None, list[tuple[int, int]]]:
+    """partition_verdict without the witness: the repeat count and the meets.
+
+    Runs every check of partition_verdict on the intervals `masks` of a cover
+    on n vertices.  A partition gives (0, []); above the bound the count is
+    None and the meets hold the first overlapping pair's alone.
+    """
+    full = (1 << n) - 1
+    if n <= oracle_bound:
         missed = full + 1 - _union_size(full, masks)
         if missed:
             raise RuntimeError(f"cover misses {missed} subsets; coverage violated")
@@ -475,19 +503,14 @@ def partition_verdict(C: Cover, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> Par
     if (first is None) != (size_sum == full + 1):
         raise RuntimeError("partition methods disagree on a covered lattice")
     if first is None:
-        return PartitionVerdict(True, 0, None)
-    if C.n > oracle_bound:
-        i, j = first
-        witness = RepeatWitness(set_of(masks[i][0] | masks[j][0]),
-                                C.entries[i].generator, C.entries[j].generator)
-        return PartitionVerdict(False, None, witness)
+        return 0, []
+    if n > oracle_bound:
+        return None, _meets(masks, [first])
     meets = _meets(masks, chain([first], pairs))
     repeated = _union_size(full, meets)
     if repeated == 0:
         raise RuntimeError("partition methods disagree on a covered lattice")
-    x = min(lo for lo, _ in meets)
-    gens = _generators_containing(C, masks, x)
-    return PartitionVerdict(False, repeated, RepeatWitness(set_of(x), gens[0], gens[1]))
+    return repeated, meets
 
 
 def repeated_subsets_detail(
@@ -541,12 +564,17 @@ def search_labelling(
 ) -> LabellingSearchResult:
     """Search vertex relabellings for one minimizing the repeated-subset count.
 
-    Exhaustive mode walks all n! permutations in lexicographic order (bounded
-    by FACTORIAL_BOUND) so ties resolve to the lexicographically smallest
-    permutation; it stops early once a partition shows up.  Random mode tries
-    the identity and then `budget - 1` seeded shuffles; the seed is recorded
-    in the result so runs can be reproduced.  Only random mode takes `budget`
-    and `seed`.
+    Trials are ranked by (repeated-subset count, permutation), so a tie goes
+    to the lexicographically smallest permutation.  Exhaustive mode walks all
+    n! permutations in lexicographic order (bounded by FACTORIAL_BOUND) and
+    stops early once a partition shows up.  Random mode tries the identity
+    and then `budget - 1` seeded shuffles; the seed is recorded in the result
+    so runs can be reproduced.  Only random mode takes `budget` and `seed`.
+
+    A relabelling maps the maximal independent sets onto themselves, so they
+    are enumerated once: each trial renames their masks and re-sorts them,
+    and runs only the activities and the verdict's checks.  The witness is
+    built for the winning labelling alone.
     """
     if budget is not None and budget <= 0:
         raise ValueError("budget must be positive")
@@ -571,23 +599,29 @@ def search_labelling(
             seed = 0
         candidates = _shuffles(G.n, budget, random.Random(seed))
 
-    best_perm: tuple[int, ...] | None = None
-    best: PartitionVerdict | None = None
+    members = [list(_bits(m)) for m in _mis_by_pivot(G)]
+    best: tuple | None = None  # (count, perm, relabelled graph, its sorted generators)
     trials = 0
     for perm in candidates:
-        v = partition_verdict(cover(relabel(G, perm)))
+        image = [0, *(1 << (p - 1) for p in perm)]
+        H = _relabelled(G, image)
+        get = image.__getitem__
+        gens = _canonical_order([sum(map(get, m)) for m in members], G.n)
+        masks = [(m & ~i, m | e) for m, i, e in zip(gens, *_activities(H, gens))]
+        count = _repeats(G.n, masks, DEFAULT_ORACLE_BOUND)[0]
         trials += 1
-        key = (v.repeated_subset_count, perm)
-        if best is None or key < (best.repeated_subset_count, best_perm):
-            best_perm, best = perm, v
-        if mode == "exhaustive" and best.is_partition:
+        if best is None or (count, perm) < best[:2]:
+            best = (count, perm, H, gens)
+        if mode == "exhaustive" and best[0] == 0:
             break
 
-    assert best_perm is not None and best is not None
+    assert best is not None
+    _, best_perm, H, gens = best
+    verdict = partition_verdict(_cover_of(H, gens))
     return LabellingSearchResult(
         permutation=best_perm,
-        verdict=best,
-        found_partition=best.is_partition,
+        verdict=verdict,
+        found_partition=verdict.is_partition,
         mode=mode,
         trials=trials,
         seed=seed if mode == "random" else None,

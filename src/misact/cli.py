@@ -29,7 +29,7 @@ from .complete import (
     partition_obstructions,  # noqa: F401  bench/spans.py traces it here
 )
 from .families import FAMILIES
-from .graph import Graph, mask_of
+from .graph import Graph
 from .io import (
     MAX_VERTICES, cover_report, emit_edge_list, parse_edge_list, to_json, verdict_report
 )
@@ -164,8 +164,7 @@ def _cmd_pruned(args: argparse.Namespace) -> int:
     host = _read_graph(args.host) if args.host else None
     instance = pruned_instance(tree, host, args.root)
     report_obj = pruned_partition(instance, leaf_mode=args.leaf_mode)
-    f_lowers = [mask_of(fl) for fl in report_obj.f_lowers]
-    body = cover_report(report_obj.cover, report_obj.verdict, f_lowers)
+    body = cover_report(report_obj.cover, report_obj.verdict, report_obj.f_lower_masks)
     report = {
         "root": instance.root,
         "leaf_mode": report_obj.leaf_mode,

@@ -231,9 +231,16 @@ def _mis_by_pivot(G: Graph) -> Iterator[int]:
             p, x = p ^ bit, x | bit
 
 
+def _canonical_order(masks: Iterable[int], n: int) -> list[int]:
+    """An antichain of masks on n vertices, sorted by their sorted member lists."""
+    # No member list of an antichain is a prefix of another, so the set holding the lowest vertex
+    # of the symmetric difference comes first: descending order of the bit-reversed masks.
+    return sorted(masks, key=lambda m: f"{m:0{n}b}"[::-1], reverse=True)
+
+
 def _mis_masks(G: Graph) -> list[int]:
     """Masks of all maximal independent sets, sorted by their sorted member lists."""
-    return sorted(_mis_by_pivot(G), key=lambda m: list(_bits(m)))
+    return _canonical_order(_mis_by_pivot(G), G.n)
 
 
 def enumerate_maximal_independent_sets(G: Graph) -> list[frozenset[int]]:
@@ -281,7 +288,21 @@ def relabel(G: Graph, perm: Mapping[int, int] | Sequence[int]) -> Graph:
     is the new name of vertex i+1.  Non-bijections are rejected.
     """
     mapping = _normalize_perm(perm, G.n)
-    return Graph(G.n, [(mapping[u], mapping[v]) for u, v in G.edges()])
+    return _relabelled(G, [0, *(1 << (mapping[v] - 1) for v in G.vertices)])
+
+
+def _relabelled(G: Graph, image: list[int]) -> Graph:
+    """relabel without its check: vertex v becomes the vertex of the bit image[v].
+
+    image[0] is 0, and image[1:] must hold each of the n vertex bits once.
+    """
+    get = image.__getitem__
+    rows = [0] * (G.n + 1)
+    for v in G.vertices:
+        rows[image[v].bit_length()] = sum(map(get, _bits(G.adj_mask[v])))
+    H = object.__new__(Graph)
+    H.n, H.adj_mask, H.full_mask = G.n, tuple(rows), G.full_mask
+    return H
 
 
 def random_graph(n: int, p: float, seed: int | None = None,

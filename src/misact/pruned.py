@@ -305,21 +305,26 @@ class PrunedPartitionReport:
     """Cover of a level-labelled host plus the leaf-structure cross-checks.
 
     The cover's lower endpoints come from the activity computation itself;
-    f_lowers holds the leaf-stripped generators for comparison.  The two
-    agreement flags record whether the leaf shortcuts held on this instance.
-    They hold when every vertex with children has a private leaf child
-    (see the module docstring), and the verdict has then been a partition on
-    every host checked; without it they can fail for sparse hosts of depth
-    four or more, and the verdict with them.  The cover itself is computed
-    soundly either way.
+    f_lower_masks holds the leaf-stripped generators as bitmasks for
+    comparison, and `f_lowers` gives them as frozensets built on access.
+    The two agreement flags record whether the leaf shortcuts held on this
+    instance.  They hold when every vertex with children has a private leaf
+    child (see the module docstring), and the verdict has then been a
+    partition on every host checked; without it they can fail for sparse
+    hosts of depth four or more, and the verdict with them.  The cover
+    itself is computed soundly either way.
     """
 
     cover: Cover
     verdict: PartitionVerdict
     leaf_mode: str
-    f_lowers: tuple[frozenset[int], ...]
+    f_lower_masks: tuple[int, ...]
     lower_matches_f: bool
     int_equals_tree_leaves: bool
+
+    @property
+    def f_lowers(self) -> tuple[frozenset[int], ...]:
+        return tuple(map(set_of, self.f_lower_masks))
 
 
 def pruned_partition(
@@ -339,12 +344,13 @@ def pruned_partition(
     keep = ~mask_of(instance.leaf_set(leaf_mode))
     tree_leaves = mask_of(instance.leaf_set_tree)
     c = cover(instance.host)
+    f_lower_masks = tuple(e.mis_mask & keep for e in c.entries)
     return PrunedPartitionReport(
         cover=c,
         verdict=partition_verdict(c),
         leaf_mode=leaf_mode,
-        f_lowers=tuple(set_of(e.mis_mask & keep) for e in c.entries),
-        lower_matches_f=all(e.lower_mask == e.mis_mask & keep for e in c.entries),
+        f_lower_masks=f_lower_masks,
+        lower_matches_f=all(e.lower_mask == f for e, f in zip(c.entries, f_lower_masks)),
         int_equals_tree_leaves=all(e.int_mask == e.mis_mask & tree_leaves for e in c.entries),
     )
 

@@ -7,12 +7,16 @@ meaningful.
 The exceptions are subset_histogram, first_bad_locate and
 cover_report_lists, which take a computed cover and read its masks: they
 check what the library concludes from a cover (coverage, repeats, location)
-or how it writes one, not the cover itself.
+or how it writes one, not the cover itself; and search_labelling_loop, which
+runs the library's cover and verdict once per trial to check that the
+labelling search, which enumerates once, picks the same labelling.
 """
 
-from itertools import combinations
+import random
+from itertools import combinations, permutations
 
-from misact import Graph
+from misact import Graph, cover, partition_verdict
+from misact.activities import LabellingSearchResult
 from misact.io import verdict_report
 
 
@@ -243,3 +247,43 @@ def brute_tree_center(T: Graph) -> int:
         return max(dist.values())
 
     return min(range(1, T.n + 1), key=lambda v: (eccentricity(v), v))
+
+
+def search_labelling_loop(G: Graph, budget=None, mode="exhaustive", seed=None):
+    """search_labelling as a full relabel, cover and verdict per trial.
+
+    Takes valid arguments only.  The candidates come in the library's order:
+    exhaustive mode walks the permutations lexicographically and stops at the
+    first partition; random mode tries the identity, then `budget - 1`
+    shuffles from random.Random(seed).  Trials rank by (repeat count,
+    permutation).
+    """
+    if mode == "exhaustive":
+        candidates = permutations(range(1, G.n + 1))
+    else:
+        seed = 0 if seed is None else seed
+        rng = random.Random(seed)
+        candidates = [tuple(range(1, G.n + 1))]
+        for _ in range(budget - 1):
+            p = list(range(1, G.n + 1))
+            rng.shuffle(p)
+            candidates.append(tuple(p))
+    best_perm = best = None
+    trials = 0
+    for perm in candidates:
+        relabelled = Graph(G.n, [(perm[u - 1], perm[v - 1]) for u, v in G.edges()])
+        v = partition_verdict(cover(relabelled))
+        trials += 1
+        key = (v.repeated_subset_count, perm)
+        if best is None or key < (best.repeated_subset_count, best_perm):
+            best_perm, best = perm, v
+        if mode == "exhaustive" and best.is_partition:
+            break
+    return LabellingSearchResult(
+        permutation=best_perm,
+        verdict=best,
+        found_partition=best.is_partition,
+        mode=mode,
+        trials=trials,
+        seed=seed if mode == "random" else None,
+    )

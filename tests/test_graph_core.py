@@ -23,7 +23,7 @@ from misact import (
     random_graph,
     relabel,
 )
-from misact.graph import _mis_by_pivot, _mis_masks, set_of
+from misact.graph import _bits, _mis_by_pivot, _mis_masks, set_of
 
 from reference import brute_mis
 from sample_graphs import (
@@ -227,6 +227,18 @@ class TestEnumeration:
                      if u not in isolated and v not in isolated]
             g = Graph(n, edges)
             assert enumerate_maximal_independent_sets(g) == brute_mis(g)
+
+    def test_canonical_order_is_member_list_order(self):
+        # the bit-reversed sort key against the member lists it stands for
+        rng = random.Random(30)
+        for i in range(300):
+            n = i % 31
+            isolated = {v for v in range(1, n + 1) if rng.random() < 0.2}
+            edges = [(u, v) for u, v in random_graph(n, rng.uniform(0.1, 0.8), rng=rng).edges()
+                     if u not in isolated and v not in isolated]
+            g = Graph(n, edges)
+            expected = sorted(_mis_by_pivot(g), key=lambda m: list(_bits(m)))
+            assert _mis_masks(g) == expected
 
     def test_path_counts(self):
         # maximal independent sets of the path P_n: a(n) = a(n-2) + a(n-3)

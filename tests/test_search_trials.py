@@ -1,0 +1,74 @@
+"""The labelling search, enumerating once, against a full rebuild per trial."""
+
+import random
+from math import factorial
+
+import pytest
+
+from misact import Graph, complete_graph, random_graph, search_labelling
+
+from reference import search_labelling_loop
+from sample_graphs import dense_five_overlapping, wheel_five
+
+SEED = 20261018
+
+
+def star(n: int, centre: int) -> Graph:
+    return Graph(n, [(centre, v) for v in range(1, n + 1) if v != centre])
+
+
+def cycle(n: int) -> Graph:
+    return Graph(n, [(v, v % n + 1) for v in range(1, n + 1)])
+
+
+def gnp_graphs(count_per_n: int, ns) -> list[Graph]:
+    rng = random.Random(SEED)
+    return [random_graph(n, rng.uniform(0.15, 0.8), rng=rng)
+            for n in ns for _ in range(count_per_n)]
+
+
+STRUCTURED = [
+    Graph(0), Graph(1), Graph(2), Graph(6),
+    complete_graph(1), complete_graph(2), complete_graph(5), complete_graph(7),
+    star(5, 1), star(5, 3), star(6, 6), star(9, 4),
+    Graph(6, [(2, 5), (5, 6)]),  # isolated 1, 3 and 4
+    Graph(8, [(1, 8), (2, 3), (3, 8), (2, 8)]),  # isolated 4-7
+    Graph(7, [(3, 4), (4, 5), (5, 3)]),  # a triangle beside four isolated vertices
+    cycle(5), cycle(6), wheel_five(), dense_five_overlapping(),
+]
+
+
+@pytest.mark.parametrize("budget", [1, 2, 50])
+@pytest.mark.parametrize("seed", [0, 7, SEED])
+@pytest.mark.parametrize("g", gnp_graphs(1, range(13)), ids=lambda g: f"n{g.n}m{g.edge_count()}")
+def test_random_mode_on_gnp(g, seed, budget):
+    got = search_labelling(g, budget=budget, mode="random", seed=seed)
+    assert got == search_labelling_loop(g, budget=budget, mode="random", seed=seed)
+
+
+@pytest.mark.parametrize("g", STRUCTURED, ids=repr)
+@pytest.mark.parametrize("budget", [1, 2, 50])
+def test_random_mode_on_structured_graphs(g, budget):
+    got = search_labelling(g, budget=budget, mode="random", seed=3)
+    assert got == search_labelling_loop(g, budget=budget, mode="random", seed=3)
+
+
+def test_random_mode_default_seed():
+    g = wheel_five()
+    assert search_labelling(g, budget=20, mode="random") == search_labelling_loop(
+        g, budget=20, mode="random")
+
+
+EXHAUSTIVE = [g for g in STRUCTURED if g.n <= 6] + gnp_graphs(2, range(7))
+
+
+@pytest.mark.parametrize("g", EXHAUSTIVE, ids=repr)
+def test_exhaustive_mode(g):
+    assert search_labelling(g) == search_labelling_loop(g)
+
+
+def test_exhaustive_cases_cover_both_outcomes():
+    """Some cases stop early on a partition, and some find no labelling that partitions."""
+    results = [(search_labelling(g), factorial(g.n)) for g in EXHAUSTIVE]
+    assert any(r.found_partition and 1 < r.trials < total for r, total in results)
+    assert any(not r.found_partition and r.trials == total for r, total in results)
