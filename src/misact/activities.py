@@ -60,8 +60,9 @@ __all__ = [
 # exact repeated-subset count, verify locates every one of the 2^n subsets,
 # and repeated_subsets_detail lists the repeated subsets.
 DEFAULT_ORACLE_BOUND = 25
-# verify_all and repeated_subsets_detail refuse a larger bound: they walk or
-# list up to 2^bound subsets.  partition_verdict counts them and takes any bound.
+# verify_all and repeated_subsets_detail refuse a larger bound, or one below 0:
+# they walk or list up to 2^bound subsets.  partition_verdict counts them and
+# takes any bound.
 MAX_ORACLE_BOUND = 30
 # Exhaustive labelling search walks at most this many vertices' n! permutations.
 FACTORIAL_BOUND = 9
@@ -389,55 +390,63 @@ def _overlapping_pairs(masks: list[tuple[int, int]]) -> Iterator[tuple[int, int]
 
 
 def _check_oracle_bound(oracle_bound: int) -> None:
+    if oracle_bound < 0:
+        raise ValueError(f"oracle bound {oracle_bound} is below 0")
     if oracle_bound > MAX_ORACLE_BOUND:
         raise ValueError(
             f"oracle bound {oracle_bound} exceeds the limit {MAX_ORACLE_BOUND}"
         )
 
 
-def _union_size(free: int, cubes: list[tuple[int, int]]) -> int:
-    """Number of subsets x of `free` with lo <= x <= hi for some (lo, hi).
+def _cover_counts(free: int, cubes: list[tuple[int, int]]) -> tuple[int, int]:
+    """(covered, repeated): the subsets x of `free` with lo <= x <= hi for at
+    least one, and for at least two, of the cubes (lo, hi).
 
-    Shannon expansion on a bit the first cube fixes (in lo, or outside hi):
-    the two halves are disjoint, and each keeps only the cubes that allow
-    its value of the bit.  A cube that fixes no free bit covers the whole
-    half, and a lone cube covers 2^(its unfixed bits).  Every cube must be
-    nonempty (lo <= hi).  The stack depth stays at most the popcount of free.
+    One Shannon expansion counts both.  A branch splits on a bit its first
+    cube fixes (in lo, or outside hi): the two halves are disjoint, and each
+    keeps only the cubes that allow its value of the bit.  A branch where
+    two or more cubes fix no free bit is covered twice over; where exactly
+    one does, it is covered once, and the union of the other cubes is what
+    it repeats, counted on as a plain union.  Two cubes or fewer are counted
+    by inclusion-exclusion.  Every cube must be nonempty (lo <= hi).  The
+    stack depth stays at most the popcount of free.
     """
-    total = 0
-    stack = [(free, cubes)]
+    covered = repeated = 0
+    stack = [(free, cubes, True)]  # True: count both; False: the union into repeated
     while stack:
-        free, cubes = stack.pop()
-        if not cubes:
+        free, cubes, both = stack.pop()
+        if len(cubes) < 3:
+            sizes = meet = 0
+            for lo, hi in cubes:
+                sizes += 1 << (free & hi & ~lo).bit_count()
+            if len(cubes) == 2:
+                (lo, hi), (lo_b, hi_b) = cubes
+                lo |= lo_b
+                hi &= hi_b
+                if not free & lo & ~hi:
+                    meet = 1 << (free & hi & ~lo).bit_count()
+            if both:
+                covered += sizes - meet
+                repeated += meet
+            else:
+                repeated += sizes - meet
             continue
-        lo, hi = cubes[0]
-        fixed = free & (lo | ~hi)
-        if len(cubes) == 1:
-            total += 1 << (free & ~fixed).bit_count()
+        fixed = [free & (lo | ~hi) for lo, hi in cubes]
+        whole = fixed.count(0)
+        if whole:
+            size = 1 << free.bit_count()
+            if not both or whole > 1:
+                repeated += size
+            if both:
+                covered += size
+                if whole == 1:
+                    stack.append((free, [c for c, f in zip(cubes, fixed) if f], False))
             continue
-        if any(not free & (c[0] | ~c[1]) for c in cubes):
-            total += 1 << free.bit_count()
-            continue
-        bit = fixed & -fixed
+        bit = fixed[0] & -fixed[0]
         free ^= bit
-        stack.append((free, [c for c in cubes if not c[0] & bit]))  # bit off
-        stack.append((free, [c for c in cubes if c[1] & bit]))  # bit on
-    return total
-
-
-def _meets(
-    masks: list[tuple[int, int]], pairs: Iterable[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """The distinct intersections [lo_i|lo_j; hi_i&hi_j] of the given pairs.
-
-    `pairs` holds index pairs of intersecting intervals, as yielded by
-    _overlapping_pairs(masks), so every meet is nonempty.
-    """
-    out: dict[tuple[int, int], None] = {}
-    for i, j in pairs:
-        (lo_i, hi_i), (lo_j, hi_j) = masks[i], masks[j]
-        out[lo_i | lo_j, hi_i & hi_j] = None
-    return list(out)
+        stack.append((free, [c for c in cubes if not c[0] & bit], both))  # bit off
+        stack.append((free, [c for c in cubes if c[1] & bit], both))  # bit on
+    return covered, repeated
 
 
 def _generators_containing(
@@ -456,61 +465,64 @@ def partition_verdict(C: Cover, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> Par
     Method one tests pairwise interval disjointness.  Method two compares the
     summed interval sizes against 2^n, which suffices because the intervals
     are known to cover every subset.  Up to `oracle_bound` vertices a third
-    method counts exactly: the union of the intervals must be all 2^n
-    subsets, and the repeated subsets are the union of the pairwise interval
-    intersections, whose size is reported.  Both unions are counted by
-    splitting on fixed bits, so no per-subset table is built; the bound only
-    decides whether the exact count is reported.
+    method counts exactly, in one pass that splits on fixed bits and tracks
+    the subsets lying in at least one interval and in at least two: the
+    first count must be all 2^n subsets, and the second is the reported
+    repeat count.  No per-subset table is built; the bound only decides
+    whether the exact count is reported.
 
     Checks run in this order, over one pair scan:
       1. up to the bound, a subset in no interval raises "cover misses";
       2. the first overlapping pair must agree with the size sum;
-      3. a partition returns;
-      4. above the bound, the first pair gives the witness;
-      5. up to it, the scan resumes after that pair to collect the meets,
-         whose union must be nonempty.
+      3. up to the bound, there must be an overlapping pair exactly when
+         the repeat count is nonzero;
+      4. a partition returns;
+      5. the witness comes from the pairwise interval intersections (the
+         meets): above the bound, the first pair's; up to it, the scan
+         resumes after that pair, and the smallest meet lower end wins.
     A disagreement between methods raises RuntimeError, since it would mean
     the cover violates the coverage guarantee it was built under.
     """
     masks = _interval_masks(C)
-    repeated, meets = _repeats(C.n, masks, oracle_bound)
-    if not meets:
+    repeated, pairs = _repeats(C.n, masks, oracle_bound)
+    if repeated == 0:
         return PartitionVerdict(True, 0, None)
     # Up to the bound, the smallest repeated subset.  Above it, the first overlapping pair's
     # meet, whose first two holders are that pair: any earlier one would make an earlier pair.
-    x = min(lo for lo, _ in meets)
+    x = min(masks[i][0] | masks[j][0] for i, j in pairs)
     gens = _generators_containing(C, masks, x)
     return PartitionVerdict(False, repeated, RepeatWitness(set_of(x), gens[0], gens[1]))
 
 
 def _repeats(
     n: int, masks: list[tuple[int, int]], oracle_bound: int
-) -> tuple[int | None, list[tuple[int, int]]]:
-    """partition_verdict without the witness: the repeat count and the meets.
+) -> tuple[int | None, Iterable[tuple[int, int]]]:
+    """partition_verdict without the witness: the repeat count and the pairs.
 
     Runs every check of partition_verdict on the intervals `masks` of a cover
-    on n vertices.  A partition gives (0, []); above the bound the count is
-    None and the meets hold the first overlapping pair's alone.
+    on n vertices, with one counting pass and the pair scan stopped at its
+    first overlapping pair.  A partition gives (0, []).  Otherwise the pairs
+    that name the witness follow the count: above the bound, where the count
+    is None, the first pair alone; up to it, every overlapping pair, the
+    scan resuming lazily after the first.
     """
     full = (1 << n) - 1
     if n <= oracle_bound:
-        missed = full + 1 - _union_size(full, masks)
-        if missed:
+        covered, repeated = _cover_counts(full, masks)
+        if missed := full + 1 - covered:
             raise RuntimeError(f"cover misses {missed} subsets; coverage violated")
     pairs = _overlapping_pairs(masks)
     first = next(pairs, None)
     size_sum = sum(1 << (hi.bit_count() - lo.bit_count()) for lo, hi in masks)
     if (first is None) != (size_sum == full + 1):
         raise RuntimeError("partition methods disagree on a covered lattice")
+    if n <= oracle_bound and (first is None) != (repeated == 0):
+        raise RuntimeError("partition methods disagree on a covered lattice")
     if first is None:
         return 0, []
     if n > oracle_bound:
-        return None, _meets(masks, [first])
-    meets = _meets(masks, chain([first], pairs))
-    repeated = _union_size(full, meets)
-    if repeated == 0:
-        raise RuntimeError("partition methods disagree on a covered lattice")
-    return repeated, meets
+        return None, [first]
+    return repeated, chain([first], pairs)
 
 
 def repeated_subsets_detail(
@@ -525,8 +537,12 @@ def repeated_subsets_detail(
         raise ValueError(f"exhaustive scan refused for n={C.n} > {oracle_bound}")
     masks = _interval_masks(C)
     repeated: set[int] = set()
-    # the repeated subsets are the meets' union
-    for lo, hi in _meets(masks, _overlapping_pairs(masks)):
+    # the repeated subsets are the union of the distinct pairwise meets [lo_i|lo_j; hi_i&hi_j]
+    meets = {
+        (masks[i][0] | masks[j][0], masks[i][1] & masks[j][1])
+        for i, j in _overlapping_pairs(masks)
+    }
+    for lo, hi in meets:
         free = hi & ~lo
         s = free
         while True:

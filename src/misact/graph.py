@@ -231,11 +231,17 @@ def _mis_by_pivot(G: Graph) -> Iterator[int]:
             p, x = p ^ bit, x | bit
 
 
+# _REV[x] is the byte x with its eight bits in reverse order.
+_REV = bytes(int(f"{x:08b}"[::-1], 2) for x in range(256))
+
+
 def _canonical_order(masks: Iterable[int], n: int) -> list[int]:
     """An antichain of masks on n vertices, sorted by their sorted member lists."""
     # No member list of an antichain is a prefix of another, so the set holding the lowest vertex
-    # of the symmetric difference comes first: descending order of the bit-reversed masks.
-    return sorted(masks, key=lambda m: f"{m:0{n}b}"[::-1], reverse=True)
+    # of the symmetric difference comes first: descending order of the bit-reversed masks, here
+    # the little-endian bytes with each byte's bits reversed.
+    size = (n + 7) // 8
+    return sorted(masks, key=lambda m: m.to_bytes(size, "little").translate(_REV), reverse=True)
 
 
 def _mis_masks(G: Graph) -> list[int]:

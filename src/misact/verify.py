@@ -102,8 +102,8 @@ def verify_all(G: Graph, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> list[Check
     location check runs the greedy of locate_generator on bit planes over
     all 2^n subsets; beyond that both are skipped with a note.  An
     obstruction on a cover whose verdict is a partition raises RuntimeError
-    (CLI exit 3).  A bound above MAX_ORACLE_BOUND raises ValueError before
-    anything is computed.
+    (CLI exit 3).  A bound below 0 or above MAX_ORACLE_BOUND raises
+    ValueError before anything is computed.
     """
     _check_oracle_bound(oracle_bound)
     out: list[CheckResult] = []

@@ -470,6 +470,15 @@ class TestExitCodes:
         assert run(["verify", path, "--oracle-bound", "60"]) == 1
         assert capsys.readouterr().err == "error: oracle bound 60 exceeds the limit 30\n"
 
+    def test_oracle_bound_negative(self, tmp_path, capsys):
+        # a negative bound used to skip every check and exit 0
+        path = write_graph(tmp_path, tailed_triangle())
+        assert run(["verify", path, "--oracle-bound", "-3"]) == 1
+        assert capsys.readouterr().err == "error: oracle bound -3 is below 0\n"
+        for bound in ("0", "30"):  # both ends of the accepted range run
+            assert run(["verify", path, "--oracle-bound", bound]) == 0
+        capsys.readouterr()
+
     def test_subprocess_entry_point(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("3 3\n1 2\n1 3\n2 3\n")

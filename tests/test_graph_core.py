@@ -23,7 +23,7 @@ from misact import (
     random_graph,
     relabel,
 )
-from misact.graph import _bits, _mis_by_pivot, _mis_masks, set_of
+from misact.graph import _bits, _canonical_order, _mis_by_pivot, _mis_masks, set_of
 
 from reference import brute_mis
 from sample_graphs import (
@@ -239,6 +239,22 @@ class TestEnumeration:
             g = Graph(n, edges)
             expected = sorted(_mis_by_pivot(g), key=lambda m: list(_bits(m)))
             assert _mis_masks(g) == expected
+
+    def test_canonical_key_on_seeded_antichains(self):
+        # the byte-reversed sort key against the member lists, without the enumerator
+        rng = random.Random(31)
+        for n in range(71):
+            for _ in range(4):
+                kept = []
+                for _ in range(rng.randint(0, 60)):
+                    m = rng.getrandbits(n)
+                    if rng.random() < 0.5:  # sparser masks, so some pairs are comparable
+                        m &= rng.getrandbits(n)
+                    if all(m & ~k and k & ~m for k in kept):  # incomparable with every kept mask
+                        kept.append(m)
+                rng.shuffle(kept)
+                expected = sorted(kept, key=lambda m: list(_bits(m)))
+                assert _canonical_order(kept, n) == expected
 
     def test_path_counts(self):
         # maximal independent sets of the path P_n: a(n) = a(n-2) + a(n-3)

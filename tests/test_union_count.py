@@ -1,4 +1,4 @@
-"""Exact union counting in the partition verdict and the repeated-subset
+"""Exact coverage and repeat counting in the partition verdict and the repeated-subset
 listing, against the 2^n histogram."""
 
 import random
@@ -15,7 +15,7 @@ from misact import (
     relabel,
     repeated_subsets_detail,
 )
-from misact.activities import _generators_containing, _interval_masks, _union_size
+from misact.activities import _generators_containing, _cover_counts, _interval_masks
 from misact.graph import set_of
 from misact.pruned import random_pruned_instance
 
@@ -31,27 +31,45 @@ def brute_union_size(n: int, cubes: list[tuple[int, int]]) -> int:
     )
 
 
+def brute_repeated_size(n: int, cubes: list[tuple[int, int]]) -> int:
+    """Number of subsets of the n bits lying in two or more of the cubes."""
+    return sum(
+        1
+        for x in range(1 << n)
+        if sum(1 for lo, hi in cubes if lo & ~x == 0 and x & ~hi == 0) >= 2
+    )
+
+
 def random_cube(rng: random.Random, n: int) -> tuple[int, int]:
     lo = rng.getrandbits(n) & rng.getrandbits(n)
     return lo, lo | rng.getrandbits(n)
 
 
-class TestUnionSize:
+class TestCoverCounts:
     def test_edge_cases(self):
-        assert _union_size(0, []) == 0
-        assert _union_size(0, [(0, 0)]) == 1  # n = 0: the one empty subset
-        assert _union_size(0b1111, []) == 0
-        assert _union_size(0b1111, [(0, 0b1111)]) == 16  # the full cube
-        assert _union_size(0b1111, [(0b0101, 0b0101)]) == 1  # a single point
-        assert _union_size(0b1111, [(0b0001, 0b1111), (0, 0b1111)]) == 16
-        assert _union_size(0b111, [(0b001, 0b011)] * 3) == 2  # repeats count once
+        assert _cover_counts(0, []) == (0, 0)
+        assert _cover_counts(0, [(0, 0)]) == (1, 0)  # n = 0: the one empty subset
+        assert _cover_counts(0, [(0, 0)] * 2) == (1, 1)
+        assert _cover_counts(0b1111, []) == (0, 0)
+        assert _cover_counts(0b1111, [(0, 0b1111)]) == (16, 0)  # the full cube
+        assert _cover_counts(0b1111, [(0, 0b1111)] * 2) == (16, 16)  # two full cubes
+        assert _cover_counts(0b1111, [(0b0101, 0b0101)]) == (1, 0)  # a single point
+        assert _cover_counts(0b1111, [(0b0001, 0b1111), (0, 0b1111)]) == (16, 8)
+        assert _cover_counts(0b111, [(0b001, 0b011)] * 3) == (2, 2)  # repeats count once
+        # a duplicated cube counts as repeated; the cube on bit 3 is disjoint from it
+        dup = (0b0001, 0b0111)
+        assert _cover_counts(0b1111, [dup, (0b1000, 0b1111), dup]) == (12, 4)
+        # one whole cube: it repeats the union of the other two, which are disjoint
+        assert _cover_counts(0b1111, [(0, 0b1111), (0b0001, 0b0011), (0b0100, 0b1100)]) == (16, 4)
 
     def test_matches_brute_force_on_random_cubes(self):
         rng = random.Random(11)
         for _ in range(400):
             n = rng.randint(0, 9)
             cubes = [random_cube(rng, n) for _ in range(rng.randint(0, 14))]
-            assert _union_size((1 << n) - 1, cubes) == brute_union_size(n, cubes)
+            covered, repeated = _cover_counts((1 << n) - 1, cubes)
+            assert covered == brute_union_size(n, cubes)
+            assert repeated == brute_repeated_size(n, cubes)
 
     def test_many_small_cubes(self):
         rng = random.Random(12)
@@ -63,7 +81,9 @@ class TestUnionSize:
             for b in rng.sample(range(n), rng.randint(2, 4)):
                 free |= 1 << b
             cubes.append((lo & ~free, lo | free))
-        assert _union_size((1 << n) - 1, cubes) == brute_union_size(n, cubes)
+        covered, repeated = _cover_counts((1 << n) - 1, cubes)
+        assert covered == brute_union_size(n, cubes)
+        assert repeated == brute_repeated_size(n, cubes)
 
 
 def histogram_verdict(C):

@@ -1,4 +1,5 @@
-"""partition_verdict against the subset histogram, and its single pair scan."""
+"""partition_verdict against the subset histogram, its single pair scan, and
+its checks on broken covers and a broken counter."""
 
 import random
 
@@ -6,7 +7,7 @@ import pytest
 
 import misact.activities
 from misact import Graph, cover, partition_verdict, random_graph
-from misact.activities import Cover
+from misact.activities import Cover, PartitionVerdict, _interval_masks, _repeats
 from misact.graph import set_of
 
 from reference import subset_histogram
@@ -135,3 +136,112 @@ class TestSinglePairScan:
                 scans.clear()
                 partition_verdict(c, oracle_bound=bound)
                 assert len(scans) == 1
+
+
+def without(c, i):
+    entries = list(c.entries)
+    del entries[i]
+    return Cover(c.n, tuple(entries))
+
+
+def repeated_by_histogram(c):
+    counts = subset_histogram(c)
+    assert counts.count(0) == 0
+    return len(counts) - counts.count(1)
+
+
+class TestFaults:
+    @pytest.mark.parametrize(
+        "build, drop, missed",
+        [
+            (dense_five_partition, 0, 16),
+            (dense_five_partition, -1, 4),
+            (dense_five_overlapping, 0, 16),
+            (lambda: random_graph(12, 0.3, seed=5), 0, 1024),
+        ],
+    )
+    def test_missing_entry(self, build, drop, missed):
+        broken = without(cover(build()), drop)
+        assert subset_histogram(broken).count(0) == missed
+        message = f"^cover misses {missed} subsets; coverage violated$"
+        with pytest.raises(RuntimeError, match=message):
+            partition_verdict(broken)
+        with pytest.raises(RuntimeError, match=message):
+            _repeats(broken.n, _interval_masks(broken), 25)
+
+    def test_missing_entry_on_seeded_graphs(self):
+        for g in seeded_graphs(30, 93):
+            c = cover(g)
+            for i in {0, len(c.entries) // 2, len(c.entries) - 1}:
+                broken = without(c, i)
+                missed = subset_histogram(broken).count(0)
+                if missed:
+                    with pytest.raises(RuntimeError, match=f"^cover misses {missed} subsets;"):
+                        partition_verdict(broken)
+                else:  # the other intervals hold the dropped one
+                    assert partition_verdict(broken).repeated_subset_count == (
+                        repeated_by_histogram(broken)
+                    )
+
+    @pytest.mark.parametrize(
+        "build, count",
+        [
+            (dense_five_overlapping, 18),
+            (dense_five_partition, 16),
+            (lambda: random_graph(12, 0.3, seed=5), 2752),
+        ],
+    )
+    def test_duplicated_entry(self, build, count):
+        c = cover(build())
+        doubled = Cover(c.n, c.entries[:1] + c.entries)
+        assert repeated_by_histogram(doubled) == count
+        v = partition_verdict(doubled)
+        assert not v.is_partition and v.repeated_subset_count == count
+
+    def test_duplicated_entry_on_seeded_graphs(self):
+        for g in seeded_graphs(30, 94):
+            c = cover(g)
+            for i in {0, len(c.entries) - 1}:
+                doubled = Cover(c.n, c.entries + c.entries[i:i + 1])
+                count = repeated_by_histogram(doubled)
+                assert count >= c.entries[i].interval.size()
+                assert partition_verdict(doubled).repeated_subset_count == count
+
+    @pytest.mark.parametrize(
+        "build, repeated", [(dense_five_overlapping, 0), (dense_five_partition, 1)]
+    )
+    def test_counter_disagreeing_with_the_pairs(self, monkeypatch, build, repeated):
+        count = misact.activities._cover_counts
+
+        def broken(free, cubes):
+            return count(free, cubes)[0], repeated
+
+        monkeypatch.setattr(misact.activities, "_cover_counts", broken)
+        c = cover(build())
+        message = "^partition methods disagree on a covered lattice$"
+        with pytest.raises(RuntimeError, match=message):
+            partition_verdict(c)
+        with pytest.raises(RuntimeError, match=message):
+            _repeats(c.n, _interval_masks(c), 25)
+
+    def test_above_the_bound(self, monkeypatch):
+        def refuse(free, cubes):
+            raise AssertionError("counted above the bound")
+
+        monkeypatch.setattr(misact.activities, "_cover_counts", refuse)
+        c = cover(dense_five_overlapping())
+        v = partition_verdict(c, oracle_bound=4)
+        assert not v.is_partition and v.repeated_subset_count is None
+        x, a, b = first_pair_by_double_loop(c)
+        assert tuple(v.witness) == (set_of(x), a, b)
+        c = cover(dense_five_partition())
+        assert partition_verdict(c, oracle_bound=4) == PartitionVerdict(True, 0, None)
+        for g in seeded_graphs(40, 95):
+            c = cover(g)
+            v = partition_verdict(c, oracle_bound=g.n - 1)
+            pair = first_pair_by_double_loop(c)
+            if pair is None:
+                assert v == PartitionVerdict(True, 0, None)
+            else:
+                assert v.repeated_subset_count is None
+                assert tuple(v.witness) == (set_of(pair[0]), pair[1], pair[2])
