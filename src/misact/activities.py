@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, permutations
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .graph import (
     Graph,
@@ -86,12 +87,8 @@ def ext_active(G: Graph, A: Iterable[int], mode: str = "standard") -> frozenset[
     if mode not in ACTIVITY_MODES:
         raise ValueError(f"mode must be one of {ACTIVITY_MODES}")
     m = _independent_mask_checked(G, A)
-    if mode == "standard":
-        return set_of(_activity_masks(G, m)[1])
-    out = 0
-    for a in _bits(m):
-        out |= G.adj_mask[a] & ((1 << (a - 1)) - 1)  # neighbours labelled < a
-    return set_of(out & ~m)
+    below = None if mode == "standard" else _rank_masks(range(G.n, 0, -1))  # labels reversed
+    return set_of(_activity_masks(G, m, below)[1])
 
 
 def subs(G: Graph, A: Iterable[int], v: int) -> frozenset[int]:
@@ -103,19 +100,46 @@ def subs(G: Graph, A: Iterable[int], v: int) -> frozenset[int]:
     return frozenset(u for u in _bits(G.adj_mask[v]) if not G.adj_mask[u] & rest)
 
 
-def _activity_masks(G: Graph, m: int) -> tuple[int, int]:
+def _rank_masks(perm: Sequence[int]) -> list[int]:
+    """below[u]: the vertices labelled below u when vertex v is labelled perm[v-1].
+
+    Prefix ORs along the labels; index 0 is unused.  Comparing labels after a
+    relabelling by perm is testing these masks on the original vertices.
+    """
+    order = [0] * len(perm)
+    for v, p in enumerate(perm, 1):
+        order[p - 1] = v
+    below, seen = [0] * (len(perm) + 1), 0
+    for v in order:
+        below[v] = seen
+        seen |= 1 << (v - 1)
+    return below
+
+
+@cache
+def _natural_ranks(n: int) -> tuple[int, ...]:
+    """_rank_masks of the identity: below[u] holds the vertices 1..u-1."""
+    return (0, *((1 << u) - 1 for u in range(n)))
+
+
+def _activity_masks(G: Graph, m: int, below: Sequence[int] | None = None) -> tuple[int, int]:
     """(Int, Ext) of the independent set m in one pass over its non-members.
 
     A non-member u with x = N(u) & A is externally active when x holds a
     label below u.  When x is the single member v, u can replace v (it has
-    no other neighbour in A), and if u > v that makes v internally passive.
+    no other neighbour in A), and if v is labelled below u that makes v
+    internally passive.  Labels compare by the rank masks `below`
+    (_rank_masks), by default the vertex numbers themselves.
     """
+    if below is None:
+        below = _natural_ranks(G.n)
     passive = ext = 0
     rest = G.full_mask & ~m
     while rest:
         bit = rest & -rest
-        x = G.adj_mask[bit.bit_length()] & m
-        if x & (bit - 1):
+        u = bit.bit_length()
+        x = G.adj_mask[u] & m
+        if x & below[u]:
             ext |= bit
             if not x & (x - 1):
                 passive |= x
@@ -201,43 +225,52 @@ def interval_of(G: Graph, A: Iterable[int]) -> ActivityReport:
     return ActivityReport(m, *_activity_masks(G, m))
 
 
-def _activity_planes(G: Graph, gens: list[int]) -> tuple[list[int], list[int]]:
+def _activity_planes(
+    G: Graph, gens: list[int], below: Sequence[int] | None = None
+) -> tuple[list[int], list[int]]:
     """(Int, Ext) masks of each independent set in `gens`, by bit slicing.
 
     Bit j of plane A_v says whether v lies in gens[j].  For each vertex u,
-    one pass over its neighbours finds the sets where u has one (`one`), two
-    or more (`two`), and one below u (`low`).  Outside A_u, `low` makes u
-    externally active; without `two`, u can also replace its one neighbour
-    v < u, which makes v internally passive.
+    one pass over its neighbours, those labelled below u first, finds the
+    sets where u has one (`one`), two or more (`two`), and one below u
+    (`low`).  Outside A_u, `low` makes u externally active; without `two`,
+    u can also replace its one neighbour v below it, which makes v
+    internally passive.  Labels compare as in _activity_masks.
     """
+    if below is None:
+        below = _natural_ranks(G.n)
     adj, a = G.adj_mask, [0, *_columns(gens, G.n)]
     passive = [0] * (G.n + 1)
     ext = []
     for u in G.vertices:
-        one = two = low = 0
-        for v in _bits(adj[u]):  # ascending, so `low` stops at the last v < u
+        lower = adj[u] & below[u]
+        one = two = 0
+        for v in _bits(lower):
             two |= one & a[v]
             one |= a[v]
-            if v < u:
-                low = one
+        low = one
+        for v in _bits(adj[u] ^ lower):
+            two |= one & a[v]
+            one |= a[v]
         ext.append(e := low & ~a[u])
         if single := e & ~two:
-            for v in _bits(adj[u] & ((1 << (u - 1)) - 1)):
+            for v in _bits(lower):
                 passive[v] |= single & a[v]
     ints = [a[v] & ~passive[v] for v in G.vertices]
     return _columns(ints, len(gens)), _columns(ext, len(gens))
 
 
-def _activities(G: Graph, gens: list[int]) -> tuple[list[int], list[int]]:
-    """(Int, Ext) masks of each independent set in `gens`."""
+def _activities(G: Graph, gens: list[int], below: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(Int, Ext) masks of each independent set in `gens`, labels compared by `below`."""
     if len(gens) >= _INDEX_MIN:  # one bit-plane pass for every set's activities
-        return _activity_planes(G, gens)
-    pairs = [_activity_masks(G, m) for m in gens]
+        return _activity_planes(G, gens, below)
+    pairs = [_activity_masks(G, m, below) for m in gens]
     return [i for i, _ in pairs], [e for _, e in pairs]
 
 
 def _cover_of(G: Graph, gens: list[int]) -> Cover:
-    return Cover(n=G.n, entries=tuple(map(ActivityReport, gens, *_activities(G, gens))))
+    activities = _activities(G, gens, _natural_ranks(G.n))
+    return Cover(n=G.n, entries=tuple(map(ActivityReport, gens, *activities)))
 
 
 def cover(G: Graph) -> Cover:
@@ -398,17 +431,79 @@ def _check_oracle_bound(oracle_bound: int) -> None:
         )
 
 
+@cache
+def _index_planes(width: int) -> tuple[int, ...]:
+    """Bit x of plane i says whether bit i of x is set, for x < 2^width."""
+    out = []
+    for i in range(width):
+        plane, span = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+        while span < 1 << width:
+            plane |= plane << span
+            span <<= 1
+        out.append(plane)
+    return tuple(out)
+
+
+# Up to this many free bits, _cover_counts counts on lattice planes.  Against
+# the Shannon expansion on the covers of G(n, p), p 0.3 and 0.5, ten graphs
+# each, in canonical and shuffled order: 1.6-2.5x faster for n 6-11,
+# 1.35-1.5x at 12, 0.9-1.0x at 13 and 0.3-0.8x at 14-16; each further bit
+# doubles the length of every plane.
+_PLANE_MAX = 12
+
+
 def _cover_counts(free: int, cubes: list[tuple[int, int]]) -> tuple[int, int]:
     """(covered, repeated): the subsets x of `free` with lo <= x <= hi for at
     least one, and for at least two, of the cubes (lo, hi).
 
-    One Shannon expansion counts both.  A branch splits on a bit its first
-    cube fixes (in lo, or outside hi): the two halves are disjoint, and each
-    keeps only the cubes that allow its value of the bit.  A branch where
-    two or more cubes fix no free bit is covered twice over; where exactly
-    one does, it is covered once, and the union of the other cubes is what
-    it repeats, counted on as a plain union.  Two cubes or fewer are counted
-    by inclusion-exclusion.  Every cube must be nonempty (lo <= hi).  The
+    When `free` is the whole lattice of at most _PLANE_MAX bits, the count
+    runs on lattice planes (_plane_counts); otherwise by Shannon expansion
+    (_shannon_counts).  Every cube must be nonempty (lo <= hi).
+    """
+    if not free & (free + 1) and free.bit_length() <= _PLANE_MAX:
+        return _plane_counts(free, cubes)
+    return _shannon_counts(free, cubes)
+
+
+def _plane_counts(free: int, cubes: list[tuple[int, int]]) -> tuple[int, int]:
+    """_cover_counts on lattice planes, one bit per subset, for free = 2^n - 1.
+
+    A cube's subsets are the AND of the index planes of its lo bits and the
+    complements of those outside hi.  `twice` gathers the subsets a cube
+    shares with the earlier ones, `once` those of any cube.  The planes
+    take 2^n bits each, so this suits small n only.
+    """
+    n = free.bit_length()
+    planes = _index_planes(n)
+    outside = [~p for p in planes]
+    every = (1 << (1 << n)) - 1
+    once = twice = 0
+    for lo, hi in cubes:
+        s = every
+        m = lo & free
+        while m:
+            bit = m & -m
+            s &= planes[bit.bit_length() - 1]
+            m ^= bit
+        m = free & ~hi
+        while m:
+            bit = m & -m
+            s &= outside[bit.bit_length() - 1]
+            m ^= bit
+        twice |= once & s
+        once |= s
+    return once.bit_count(), twice.bit_count()
+
+
+def _shannon_counts(free: int, cubes: list[tuple[int, int]]) -> tuple[int, int]:
+    """_cover_counts by one Shannon expansion, for any `free`.
+
+    A branch splits on a bit its first cube fixes (in lo, or outside hi):
+    the two halves are disjoint, and each keeps only the cubes that allow
+    its value of the bit.  A branch where two or more cubes fix no free bit
+    is covered twice over; where exactly one does, it is covered once, and
+    the union of the other cubes is what it repeats, counted on as a plain
+    union.  Two cubes or fewer are counted by inclusion-exclusion.  The
     stack depth stays at most the popcount of free.
     """
     covered = repeated = 0
@@ -572,6 +667,16 @@ def _shuffles(n: int, count: int, rng: random.Random) -> Iterator[tuple[int, ...
         yield tuple(p)
 
 
+def _relabelled_sets(
+    G: Graph, members: list[list[int]], perm: tuple[int, ...]
+) -> tuple[Graph, list[int]]:
+    """G relabelled by perm, and the masks of the sets `members` renamed
+    with it, in canonical order."""
+    image = [0, *(1 << (p - 1) for p in perm)]
+    get = image.__getitem__
+    return _relabelled(G, image), _canonical_order([sum(map(get, m)) for m in members], G.n)
+
+
 def search_labelling(
     G: Graph,
     budget: int | None = None,
@@ -588,9 +693,14 @@ def search_labelling(
     so runs can be reproduced.  Only random mode takes `budget` and `seed`.
 
     A relabelling maps the maximal independent sets onto themselves, so they
-    are enumerated once: each trial renames their masks and re-sorts them,
-    and runs only the activities and the verdict's checks.  The witness is
-    built for the winning labelling alone.
+    are enumerated once, and each trial runs only the activities and the
+    verdict's checks.  Up to _PLANE_MAX vertices a trial keeps the original
+    masks: the activities compare labels through the permutation's rank
+    masks (_rank_masks), and the checks and the plane count read neither
+    vertex names nor entry order.  Above it a trial renames the masks and
+    re-sorts them: the Shannon expansion's splits follow the labels and the
+    entry order, and ran such trials 1.6-3x faster at n 16-23 than on the
+    original masks.  Only the winning labelling's witness is built.
     """
     if budget is not None and budget <= 0:
         raise ValueError("budget must be positive")
@@ -615,25 +725,26 @@ def search_labelling(
             seed = 0
         candidates = _shuffles(G.n, budget, random.Random(seed))
 
-    members = [list(_bits(m)) for m in _mis_by_pivot(G)]
-    best: tuple | None = None  # (count, perm, relabelled graph, its sorted generators)
+    gens = list(_mis_by_pivot(G))
+    members = [list(_bits(m)) for m in gens]
+    best: tuple[int, tuple[int, ...]] | None = None  # (count, perm)
     trials = 0
     for perm in candidates:
-        image = [0, *(1 << (p - 1) for p in perm)]
-        H = _relabelled(G, image)
-        get = image.__getitem__
-        gens = _canonical_order([sum(map(get, m)) for m in members], G.n)
-        masks = [(m & ~i, m | e) for m, i, e in zip(gens, *_activities(H, gens))]
+        if G.n <= _PLANE_MAX:  # the plane count reads neither labels nor entry order
+            H, sets, below = G, gens, _rank_masks(perm)
+        else:  # the Shannon expansion splits fastest on relabelled masks in canonical order
+            (H, sets), below = _relabelled_sets(G, members, perm), _natural_ranks(G.n)
+        masks = [(m & ~i, m | e) for m, i, e in zip(sets, *_activities(H, sets, below))]
         count = _repeats(G.n, masks, DEFAULT_ORACLE_BOUND)[0]
         trials += 1
-        if best is None or (count, perm) < best[:2]:
-            best = (count, perm, H, gens)
+        if best is None or (count, perm) < best:
+            best = (count, perm)
         if mode == "exhaustive" and best[0] == 0:
             break
 
     assert best is not None
-    _, best_perm, H, gens = best
-    verdict = partition_verdict(_cover_of(H, gens))
+    best_perm = best[1]
+    verdict = partition_verdict(_cover_of(*_relabelled_sets(G, members, best_perm)))
     return LabellingSearchResult(
         permutation=best_perm,
         verdict=verdict,

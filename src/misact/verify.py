@@ -14,6 +14,7 @@ from .activities import (
     DEFAULT_ORACLE_BOUND,
     Cover,
     _check_oracle_bound,
+    _index_planes,
     _interval_masks,
     _locate_planes,
     cover,
@@ -43,18 +44,6 @@ class CheckResult:
 # G(20, 0.3), 16 took 0.029 s and peaked at 0.6 MB; 12 took 0.089 s, and one
 # chunk of 2^20 took 0.059 s and peaked at 6.6 MB.
 _CHUNK_BITS = 16
-
-
-def _index_planes(width: int) -> list[int]:
-    """Bit x of plane i says whether bit i of x is set, for x < 2^width."""
-    out = []
-    for i in range(width):
-        plane, span = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
-        while span < 1 << width:
-            plane |= plane << span
-            span <<= 1
-        out.append(plane)
-    return out
 
 
 def _first_bad_locate(G: Graph, C: Cover) -> int | None:

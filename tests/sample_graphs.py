@@ -99,6 +99,16 @@ def sparse_layered_host() -> Graph:
     )
 
 
+def disjoint_cliques(sizes: list[int]) -> Graph:
+    """Disjoint cliques of the given sizes, labelled block by block: the
+    product of the sizes is the number of maximal independent sets."""
+    edges, start = [], 1
+    for s in sizes:
+        edges += [(u, v) for u in range(start, start + s) for v in range(u + 1, start + s)]
+        start += s
+    return Graph(start - 1, edges)
+
+
 def all_named_graphs() -> list[Graph]:
     return [
         tailed_triangle(),

@@ -27,6 +27,15 @@ def seeded_graphs(count, max_n):
     return [random_graph(i % (max_n + 1), rng.uniform(0.1, 0.7), rng=rng) for i in range(count)]
 
 
+def test_index_planes_have_one_home():
+    """verify reads the counter's cached lattice planes; bit x of plane i is bit i of x."""
+    assert misact.verify._index_planes is misact.activities._index_planes
+    for width in range(7):
+        planes = misact.activities._index_planes(width)
+        assert [[p >> x & 1 for x in range(1 << width)] for p in planes] == [
+            [x >> i & 1 for x in range(1 << width)] for i in range(width)]
+
+
 class TestOneBitPlanes:
     @pytest.mark.parametrize(
         "g", [g for g in all_named_graphs() if g.n <= 8] + seeded_graphs(60, 8)

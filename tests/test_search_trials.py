@@ -5,10 +5,13 @@ from math import factorial
 
 import pytest
 
-from misact import Graph, complete_graph, random_graph, search_labelling
+import misact.activities
+from misact import Graph, complete_graph, random_graph, relabel, search_labelling
+from misact.activities import _INDEX_MIN, _PLANE_MAX
+from misact.graph import _mis_masks
 
 from reference import search_labelling_loop
-from sample_graphs import dense_five_overlapping, wheel_five
+from sample_graphs import dense_five_overlapping, disjoint_cliques, wheel_five
 
 SEED = 20261018
 
@@ -72,3 +75,56 @@ def test_exhaustive_cases_cover_both_outcomes():
     results = [(search_labelling(g), factorial(g.n)) for g in EXHAUSTIVE]
     assert any(r.found_partition and 1 < r.trials < total for r, total in results)
     assert any(not r.found_partition and r.trials == total for r, total in results)
+
+
+def many_sets() -> list[Graph]:
+    """Graphs with 64 or more maximal independent sets, so that every trial takes
+    their activities on bit planes: G(16-18, 0.2), whose trials relabel the
+    graph, and disjoint triangles and edges on 12 vertices, seeded relabellings,
+    whose trials use rank masks."""
+    rng = random.Random(SEED)
+    draws = (random_graph(rng.randint(16, 18), 0.2, rng=rng) for _ in range(100))
+    sparse = [g for g in draws if len(_mis_masks(g)) >= _INDEX_MIN][:6]
+    small = [relabel(disjoint_cliques(sizes), rng.sample(range(1, 13), 12))
+             for sizes in ([3, 3, 3, 3], [2] * 6, [3, 3, 2, 2, 2])]
+    return sparse + small
+
+
+@pytest.mark.parametrize("g", many_sets(), ids=lambda g: f"n{g.n}m{g.edge_count()}")
+def test_random_mode_with_many_sets(g):
+    assert len(_mis_masks(g)) >= _INDEX_MIN
+    budget = 3 if g.n > _PLANE_MAX else 20
+    got = search_labelling(g, budget=budget, mode="random", seed=5)
+    assert got == search_labelling_loop(g, budget=budget, mode="random", seed=5)
+
+
+@pytest.mark.parametrize("g", gnp_graphs(1, range(4, 15)), ids=lambda g: f"n{g.n}m{g.edge_count()}")
+def test_trials_agree_on_either_path(monkeypatch, g):
+    """Rank masks on the original sets, and the relabelled sorted sets, pick the same labelling."""
+    results = []
+    for plane_max in (0, 14):  # every trial relabels and counts by Shannon expansion, then none
+        monkeypatch.setattr(misact.activities, "_PLANE_MAX", plane_max)
+        results.append(search_labelling(g, budget=30, mode="random", seed=9))
+    assert results[0] == results[1]
+
+
+K33 = Graph(6, [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)])
+
+
+@pytest.mark.parametrize(
+    "g, found, trials, repeats, perm",
+    [
+        (cycle(4), False, 24, 4, (1, 3, 2, 4)),
+        (cycle(5), True, 3, 0, (1, 2, 4, 3, 5)),
+        (cycle(6), False, 720, 16, (1, 2, 4, 3, 5, 6)),
+        (cycle(7), False, 5040, 16, (1, 2, 4, 3, 6, 5, 7)),
+        (cycle(8), False, 40320, 64, (1, 2, 4, 3, 5, 7, 6, 8)),
+        (K33, False, 720, 8, (1, 2, 3, 4, 5, 6)),
+    ],
+    ids=["C4", "C5", "C6", "C7", "C8", "K33"],
+)
+def test_exhaustive_answers_on_small_graphs(g, found, trials, repeats, perm):
+    """Only C5 among these has a partitioning labelling; the others walk all n! of them."""
+    r = search_labelling(g)
+    assert (r.found_partition, r.trials, r.verdict.repeated_subset_count, r.permutation) == (
+        found, trials, repeats, perm)

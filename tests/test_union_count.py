@@ -15,7 +15,15 @@ from misact import (
     relabel,
     repeated_subsets_detail,
 )
-from misact.activities import _generators_containing, _cover_counts, _interval_masks
+import misact.activities
+from misact.activities import (
+    _PLANE_MAX,
+    _cover_counts,
+    _generators_containing,
+    _interval_masks,
+    _plane_counts,
+    _shannon_counts,
+)
 from misact.graph import set_of
 from misact.pruned import random_pruned_instance
 
@@ -46,32 +54,39 @@ def random_cube(rng: random.Random, n: int) -> tuple[int, int]:
 
 
 class TestCoverCounts:
+    """The counter, and through the subclasses below each of its two cores."""
+
+    count = staticmethod(_cover_counts)
+
     def test_edge_cases(self):
-        assert _cover_counts(0, []) == (0, 0)
-        assert _cover_counts(0, [(0, 0)]) == (1, 0)  # n = 0: the one empty subset
-        assert _cover_counts(0, [(0, 0)] * 2) == (1, 1)
-        assert _cover_counts(0b1111, []) == (0, 0)
-        assert _cover_counts(0b1111, [(0, 0b1111)]) == (16, 0)  # the full cube
-        assert _cover_counts(0b1111, [(0, 0b1111)] * 2) == (16, 16)  # two full cubes
-        assert _cover_counts(0b1111, [(0b0101, 0b0101)]) == (1, 0)  # a single point
-        assert _cover_counts(0b1111, [(0b0001, 0b1111), (0, 0b1111)]) == (16, 8)
-        assert _cover_counts(0b111, [(0b001, 0b011)] * 3) == (2, 2)  # repeats count once
+        count = self.count
+        assert count(0, []) == (0, 0)
+        assert count(0, [(0, 0)]) == (1, 0)  # n = 0: the one empty subset
+        assert count(0, [(0, 0)] * 2) == (1, 1)
+        assert count(0b1111, []) == (0, 0)
+        assert count(0b1111, [(0, 0b1111)]) == (16, 0)  # the full cube
+        assert count(0b1111, [(0, 0b1111)] * 2) == (16, 16)  # two full cubes
+        assert count(0b1111, [(0b0101, 0b0101)]) == (1, 0)  # a single point
+        assert count(0b1111, [(0b0001, 0b1111), (0, 0b1111)]) == (16, 8)
+        assert count(0b111, [(0b001, 0b011)] * 3) == (2, 2)  # repeats count once
         # a duplicated cube counts as repeated; the cube on bit 3 is disjoint from it
         dup = (0b0001, 0b0111)
-        assert _cover_counts(0b1111, [dup, (0b1000, 0b1111), dup]) == (12, 4)
+        assert count(0b1111, [dup, (0b1000, 0b1111), dup]) == (12, 4)
         # one whole cube: it repeats the union of the other two, which are disjoint
-        assert _cover_counts(0b1111, [(0, 0b1111), (0b0001, 0b0011), (0b0100, 0b1100)]) == (16, 4)
+        assert count(0b1111, [(0, 0b1111), (0b0001, 0b0011), (0b0100, 0b1100)]) == (16, 4)
 
     def test_matches_brute_force_on_random_cubes(self):
+        count = self.count
         rng = random.Random(11)
         for _ in range(400):
             n = rng.randint(0, 9)
             cubes = [random_cube(rng, n) for _ in range(rng.randint(0, 14))]
-            covered, repeated = _cover_counts((1 << n) - 1, cubes)
+            covered, repeated = count((1 << n) - 1, cubes)
             assert covered == brute_union_size(n, cubes)
             assert repeated == brute_repeated_size(n, cubes)
 
     def test_many_small_cubes(self):
+        count = self.count
         rng = random.Random(12)
         n = 12
         cubes = []
@@ -81,9 +96,52 @@ class TestCoverCounts:
             for b in rng.sample(range(n), rng.randint(2, 4)):
                 free |= 1 << b
             cubes.append((lo & ~free, lo | free))
-        covered, repeated = _cover_counts((1 << n) - 1, cubes)
+        covered, repeated = count((1 << n) - 1, cubes)
         assert covered == brute_union_size(n, cubes)
         assert repeated == brute_repeated_size(n, cubes)
+
+    def test_either_side_of_the_plane_crossover(self):
+        rng = random.Random(14)
+        for n in (_PLANE_MAX, _PLANE_MAX + 1):
+            for _ in range(6):
+                cubes = [random_cube(rng, n) for _ in range(rng.randint(1, 24))]
+                covered, repeated = self.count((1 << n) - 1, cubes)
+                assert covered == brute_union_size(n, cubes)
+                assert repeated == brute_repeated_size(n, cubes)
+
+
+class TestPlaneCounts(TestCoverCounts):
+    count = staticmethod(_plane_counts)
+
+
+class TestShannonCounts(TestCoverCounts):
+    count = staticmethod(_shannon_counts)
+
+
+def test_counter_picks_its_core(monkeypatch):
+    """Planes for a whole lattice of up to _PLANE_MAX bits, Shannon expansion otherwise."""
+    calls = []
+    for core in ("_plane_counts", "_shannon_counts"):
+        monkeypatch.setattr(misact.activities, core,
+                            lambda free, cubes, core=core: calls.append((core, free)))
+    frees = [0, 1, 0b111, (1 << _PLANE_MAX) - 1, (1 << _PLANE_MAX + 1) - 1, 0b110, 0b1011]
+    for free in frees:
+        _cover_counts(free, [])
+    planes = [(f, "_plane_counts") for f in frees[:4]]
+    assert calls == [(c, f) for f, c in planes + [(f, "_shannon_counts") for f in frees[4:]]]
+
+
+def test_counts_on_the_bits_of_free():
+    """Only the subsets of `free` count, and the cubes are read on its bits alone."""
+    rng = random.Random(15)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        free = rng.getrandbits(n)
+        cubes = [random_cube(rng, n) for _ in range(rng.randint(0, 10))]
+        held = [sum(1 for lo, hi in cubes if lo & free & ~x == 0 and x & ~hi == 0)
+                for x in range(1 << n) if x & ~free == 0]
+        expected = (len(held) - held.count(0), sum(1 for h in held if h >= 2))
+        assert _cover_counts(free, cubes) == expected
 
 
 def histogram_verdict(C):
