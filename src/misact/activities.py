@@ -560,10 +560,11 @@ def partition_verdict(C: Cover, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> Par
     Method one tests pairwise interval disjointness.  Method two compares the
     summed interval sizes against 2^n, which suffices because the intervals
     are known to cover every subset.  Up to `oracle_bound` vertices a third
-    method counts exactly, in one pass that splits on fixed bits and tracks
-    the subsets lying in at least one interval and in at least two: the
-    first count must be all 2^n subsets, and the second is the reported
-    repeat count.  No per-subset table is built; the bound only decides
+    method counts exactly, in one pass of _cover_counts (on lattice planes up
+    to _PLANE_MAX vertices, by Shannon expansion above) that tracks the
+    subsets lying in at least one interval and in at least two: the first
+    count must be all 2^n subsets, and the second is the reported repeat
+    count.  No per-subset table is built; the bound only decides
     whether the exact count is reported.
 
     Checks run in this order, over one pair scan:
@@ -667,16 +668,6 @@ def _shuffles(n: int, count: int, rng: random.Random) -> Iterator[tuple[int, ...
         yield tuple(p)
 
 
-def _relabelled_sets(
-    G: Graph, members: list[list[int]], perm: tuple[int, ...]
-) -> tuple[Graph, list[int]]:
-    """G relabelled by perm, and the masks of the sets `members` renamed
-    with it, in canonical order."""
-    image = [0, *(1 << (p - 1) for p in perm)]
-    get = image.__getitem__
-    return _relabelled(G, image), _canonical_order([sum(map(get, m)) for m in members], G.n)
-
-
 def search_labelling(
     G: Graph,
     budget: int | None = None,
@@ -694,13 +685,10 @@ def search_labelling(
 
     A relabelling maps the maximal independent sets onto themselves, so they
     are enumerated once, and each trial runs only the activities and the
-    verdict's checks.  Up to _PLANE_MAX vertices a trial keeps the original
-    masks: the activities compare labels through the permutation's rank
-    masks (_rank_masks), and the checks and the plane count read neither
-    vertex names nor entry order.  Above it a trial renames the masks and
-    re-sorts them: the Shannon expansion's splits follow the labels and the
-    entry order, and ran such trials 1.6-3x faster at n 16-23 than on the
-    original masks.  Only the winning labelling's witness is built.
+    verdict's checks on the original masks: the activities compare labels
+    through the permutation's rank masks (_rank_masks), and the repeat count
+    does not depend on vertex names or entry order.  Only the winning
+    labelling is relabelled, sorted and given its witness.
     """
     if budget is not None and budget <= 0:
         raise ValueError("budget must be positive")
@@ -726,15 +714,11 @@ def search_labelling(
         candidates = _shuffles(G.n, budget, random.Random(seed))
 
     gens = list(_mis_by_pivot(G))
-    members = [list(_bits(m)) for m in gens]
     best: tuple[int, tuple[int, ...]] | None = None  # (count, perm)
     trials = 0
     for perm in candidates:
-        if G.n <= _PLANE_MAX:  # the plane count reads neither labels nor entry order
-            H, sets, below = G, gens, _rank_masks(perm)
-        else:  # the Shannon expansion splits fastest on relabelled masks in canonical order
-            (H, sets), below = _relabelled_sets(G, members, perm), _natural_ranks(G.n)
-        masks = [(m & ~i, m | e) for m, i, e in zip(sets, *_activities(H, sets, below))]
+        below = _rank_masks(perm)
+        masks = [(m & ~i, m | e) for m, i, e in zip(gens, *_activities(G, gens, below))]
         count = _repeats(G.n, masks, DEFAULT_ORACLE_BOUND)[0]
         trials += 1
         if best is None or (count, perm) < best:
@@ -744,7 +728,10 @@ def search_labelling(
 
     assert best is not None
     best_perm = best[1]
-    verdict = partition_verdict(_cover_of(*_relabelled_sets(G, members, best_perm)))
+    image = [0, *(1 << (p - 1) for p in best_perm)]
+    get = image.__getitem__
+    renamed = [sum(map(get, _bits(m))) for m in gens]
+    verdict = partition_verdict(_cover_of(_relabelled(G, image), _canonical_order(renamed, G.n)))
     return LabellingSearchResult(
         permutation=best_perm,
         verdict=verdict,
