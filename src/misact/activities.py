@@ -758,12 +758,12 @@ class ActivityPolynomial:
 
 
 def activity_polynomial(G: Graph) -> ActivityPolynomial:
-    """Exact coefficient map (|S|, |Ext(S)|, |Int(S)|) -> multiplicity."""
+    """Exact coefficient map (|S|, |Ext(S)|, |Int(S)|) -> multiplicity, keys sorted."""
     coeffs: dict[tuple[int, int, int], int] = {}
-    for e in cover(G).entries:
+    for e in _cover_of(G, list(_mis_by_pivot(G))).entries:  # a multiset: no canonical sort
         key = (e.mis_mask.bit_count(), e.ext_mask.bit_count(), e.int_mask.bit_count())
         coeffs[key] = coeffs.get(key, 0) + 1
-    return ActivityPolynomial(coeffs)
+    return ActivityPolynomial(dict(sorted(coeffs.items())))
 
 
 @dataclass(frozen=True)

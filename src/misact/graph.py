@@ -5,7 +5,8 @@ heavy routines work on integer bitmasks (bit v-1 stands for vertex v), which
 is what keeps the exhaustive subset scans elsewhere in the package cheap.
 Maximal independent sets are enumerated once, as the maximal cliques of the
 complement graph, by the pivoting Bron-Kerbosch search of Tomita, Tanaka and
-Takahashi (2006).  Graphs are immutable; every function here is pure.
+Takahashi (2006), which decides each leaf at its parent and yields the sets in
+no specified order.  Graphs are immutable; every function here is pure.
 """
 
 from __future__ import annotations
@@ -208,27 +209,36 @@ def is_maximal_independent(G: Graph, S: Iterable[int]) -> bool:
 
 
 def _mis_by_pivot(G: Graph) -> Iterator[int]:
-    """Maximal cliques of the complement graph, found with a pivoting search.
+    """Maximal cliques of the complement graph, in no specified order (_mis_masks sorts them).
 
-    Open branches (r, p, x) wait on an explicit stack, so the depth (one level
-    per member) is not bounded by Python's recursion limit.  Isolated vertices
-    lie in every maximal independent set, so r starts with them and the search
-    runs on the other vertices only.
+    A branch (r, p, x) pivots on the lowest vertex u of p | x with the most candidates
+    p & comp[u].  Each child is decided at its parent: with candidates it waits on an explicit
+    stack, so the depth is not bounded by Python's recursion limit; without them it is yielded
+    if its x is empty and dropped otherwise.  Isolated vertices, in every set, start r.
     """
     full = G.full_mask
     comp = [0] + [full & ~(G.adj_mask[v] | 1 << (v - 1)) for v in G.vertices]
     isolated = mask_of(v for v in G.vertices if not G.adj_mask[v])
+    if isolated == full:  # no edges, n = 0 included
+        yield full
+        return
     stack = [(isolated, full & ~isolated, 0)]
     while stack:
         r, p, x = stack.pop()
-        if not p | x:
-            yield r
-            continue
-        pivot = max(_bits(p | x), key=lambda u: (p & comp[u]).bit_count())
-        for v in _bits(p & ~comp[pivot]):  # move each candidate from p to x in turn
-            bit = 1 << (v - 1)
-            stack.append((r | bit, p & comp[v], x & comp[v]))
-            p, x = p ^ bit, x | bit
+        best, rest = -1, p | x
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            if (c := (p & comp[b.bit_length()]).bit_count()) > best:
+                best, pivot = c, b
+        cand = p & ~comp[pivot.bit_length()]
+        while cand:  # move each candidate from p to x in turn
+            bit = cand & -cand
+            if q := p & (cv := comp[bit.bit_length()]):
+                stack.append((r | bit, q, x & cv))
+            elif not x & cv:
+                yield r | bit
+            cand, p, x = cand ^ bit, p ^ bit, x | bit
 
 
 # _REV[x] is the byte x with its eight bits in reverse order.
@@ -250,11 +260,7 @@ def _mis_masks(G: Graph) -> list[int]:
 
 
 def enumerate_maximal_independent_sets(G: Graph) -> list[frozenset[int]]:
-    """All maximal independent sets, sorted by their sorted member lists.
-
-    They are the maximal cliques of the complement graph, found by a
-    pivoting search.
-    """
+    """All maximal independent sets, sorted by their sorted member lists."""
     return [set_of(m) for m in _mis_masks(G)]
 
 

@@ -9,11 +9,12 @@ deterministic byte for byte for identical inputs.
 from __future__ import annotations
 
 import json
+import re
 from functools import cache
 from typing import Any, Sequence
 
 from .activities import Cover, PartitionVerdict
-from .graph import Graph, _bits
+from .graph import Graph
 
 __all__ = [
     "MAX_VERTICES",
@@ -83,7 +84,9 @@ def parse_edge_list(text: str) -> Graph:
 
 def emit_edge_list(G: Graph) -> str:
     """Serialize a graph to the text format, edges sorted."""
-    chunks = ("".join(f"{u} {v}\n" for v in _bits(G.adj_mask[u] >> u << u)) for u in G.vertices)
+    # Character i of bin(row >> u) reversed is vertex u + 1 + i: a scan linear in the row.
+    chunks = ("".join([f"{u} {u + i.end()}\n" for i in re.finditer("1", bin(row >> u)[:1:-1])])
+              for u, row in enumerate(G.adj_mask))
     return "".join([f"{G.n} {G.edge_count()}\n", *chunks])  # one chunk per vertex, no edge list
 
 

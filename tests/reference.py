@@ -9,7 +9,10 @@ cover_report_lists, which take a computed cover and read its masks: they
 check what the library concludes from a cover (coverage, repeats, location)
 or how it writes one, not the cover itself; and search_labelling_loop, which
 runs the library's cover and verdict once per trial to check that the
-labelling search, which enumerates once, picks the same labelling.
+labelling search, which enumerates once, picks the same labelling.  Two more
+keep the old form of a replaced fast path: mis_by_pivot_stack, the pivot
+search on the graph's masks with one stack entry per branch, leaves included;
+and edge_list_per_edge, the edge-list text one edge at a time.
 """
 
 import random
@@ -287,3 +290,36 @@ def search_labelling_loop(G: Graph, budget=None, mode="exhaustive", seed=None):
         trials=trials,
         seed=seed if mode == "random" else None,
     )
+
+
+def mis_by_pivot_stack(G: Graph):
+    """The maximal independent sets by the pivoting search, every branch on the stack.
+
+    Each open branch (r, p, x) is pushed, leaves and dead branches included,
+    and popped before it is decided; the pivot is the lowest vertex of p | x
+    with the most candidates p & comp[u].  Yields masks, bit v-1 for vertex v.
+    """
+    full = G.full_mask
+    comp = [0] + [full & ~(G.adj_mask[v] | 1 << (v - 1)) for v in range(1, G.n + 1)]
+    isolated = sum(1 << (v - 1) for v in range(1, G.n + 1) if not G.adj_mask[v])
+    stack = [(isolated, full & ~isolated, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        if not p | x:
+            yield r
+            continue
+        pivot = max(_mask_bits(p | x), key=lambda u: (p & comp[u]).bit_count())
+        for v in _mask_bits(p & ~comp[pivot]):  # move each candidate from p to x in turn
+            bit = 1 << (v - 1)
+            stack.append((r | bit, p & comp[v], x & comp[v]))
+            p, x = p ^ bit, x | bit
+
+
+def _mask_bits(mask: int):
+    return [v for v in range(1, mask.bit_length() + 1) if mask >> (v - 1) & 1]
+
+
+def edge_list_per_edge(G: Graph) -> str:
+    """emit_edge_list's text from the sorted edge pairs, one line per edge."""
+    edges = [(u, v) for u in range(1, G.n + 1) for v in sorted(G.neighbors(u)) if u < v]
+    return "".join([f"{G.n} {len(edges)}\n", *(f"{u} {v}\n" for u, v in edges)])

@@ -1,6 +1,7 @@
 """Activities, generated intervals, covers, verdicts, labelling search."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -25,7 +26,7 @@ from misact import (
     subs,
     subset_multiplicity,
 )
-from misact.activities import MAX_ORACLE_BOUND, Cover
+from misact.activities import _INDEX_MIN, MAX_ORACLE_BOUND, Cover
 from misact.graph import Interval, set_of
 
 from reference import (
@@ -374,6 +375,23 @@ class TestActivityPolynomial:
     def test_ones_evaluation_counts_mis(self, g):
         poly = activity_polynomial(g)
         assert poly.evaluate(1, 1, 1) == len(brute_mis(g))
+
+    def test_matches_the_sorted_cover(self):
+        # built on the enumeration's raw order; the coefficients count the same multiset
+        rng = random.Random(53)
+        ks = []
+        for _ in range(40):
+            g = random_graph(rng.randint(4, 24), rng.uniform(0.1, 0.6), rng=rng)
+            entries = cover(g).entries
+            expected = Counter(
+                (e.mis_mask.bit_count(), e.ext_mask.bit_count(), e.int_mask.bit_count())
+                for e in entries
+            )
+            coefficients = activity_polynomial(g).coefficients
+            assert coefficients == expected
+            assert list(coefficients) == sorted(coefficients)
+            ks.append(len(entries))
+        assert min(ks) < _INDEX_MIN <= max(ks)
 
 
 class TestMisDifference:

@@ -2,9 +2,11 @@
 
 import dataclasses
 import json
+import random
 import subprocess
 import sys
 import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ from misact.cli import _build_parser, run
 from misact.families import FAMILIES
 from misact.io import MAX_VERTICES, EdgeListError, to_json
 
+from reference import edge_list_per_edge
 from sample_graphs import (
     dense_five_overlapping,
     dense_five_partition,
@@ -79,14 +82,21 @@ class TestEdgeListFormat:
         assert parse_edge_list("1200 1\n1 1200\n").n == 1200
 
     def test_round_trip_all_fixtures(self):
-        import random
-
         rng = random.Random(9)
         graphs = [tailed_triangle(), dense_five_partition(), Graph(1), Graph(4)]
         graphs += [random_graph(rng.randint(1, 12), rng.random(), rng=rng)
                    for _ in range(20)]
         for g in graphs:
             assert parse_edge_list(emit_edge_list(g)) == g
+
+    def test_emit_matches_per_edge_text(self):
+        rng = random.Random(59)
+        graphs = [complete_graph(n) for n in (0, 1, 2, 3, 9, 64, 130)]
+        graphs += [Graph(n, rng.sample(list(combinations(range(1, n + 1), 2)), m))
+                   for n, m in ((5, 0), (40, 30), (200, 150), (300, 9000))]
+        graphs += [random_graph(rng.randint(1, 90), rng.random(), rng=rng) for _ in range(30)]
+        for g in graphs:
+            assert emit_edge_list(g) == edge_list_per_edge(g)
 
     def test_emit_dense_graph_without_edge_list(self):
         # a list of all edges and their lines took 17 times the output (22 MB) here
