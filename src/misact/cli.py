@@ -94,26 +94,22 @@ def _need(args: argparse.Namespace, name: str):
     return value
 
 
-def _cmd_cover(args: argparse.Namespace) -> int:
-    G = _read_graph(args.file)
-    c = cover(G)
-    _emit(to_json(cover_report(c, partition_verdict(c))), args.out)
-    return 0
+def _cmd_cover(args: argparse.Namespace) -> tuple[dict, int]:
+    c = cover(_read_graph(args.file))
+    return cover_report(c, partition_verdict(c)), 0
 
 
-def _cmd_partition_check(args: argparse.Namespace) -> int:
-    G = _read_graph(args.file)
-    verdict = partition_verdict(cover(G))
-    _emit(to_json({"n": G.n, **verdict_report(verdict)}), args.out)
-    return 0
+def _cmd_partition_check(args: argparse.Namespace) -> tuple[dict, int]:
+    c = cover(_read_graph(args.file))
+    return {"n": c.n, **verdict_report(partition_verdict(c))}, 0
 
 
-def _cmd_complete_sets(args: argparse.Namespace) -> int:
+def _cmd_complete_sets(args: argparse.Namespace) -> tuple[dict, int]:
     G = _read_graph(args.file)
     comp = find_complete(G)
     c = cover(G)
     verdict = partition_verdict(c)
-    report = {
+    return {
         "n": G.n,
         "externally_complete": sorted(externally_complete(G)),
         "internally_complete": [sorted(s) for s in _internally_complete(c)],
@@ -123,17 +119,14 @@ def _cmd_complete_sets(args: argparse.Namespace) -> int:
             for o in _obstructions(G, c, verdict)
         ],
         "is_partition": verdict.is_partition,
-    }
-    _emit(to_json(report), args.out)
-    return 0
+    }, 0
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
-    _emit(emit_edge_list(FAMILIES[args.family].graph(**_family_values(args))), args.out)
-    return 0
+def _cmd_generate(args: argparse.Namespace) -> tuple[str, int]:
+    return emit_edge_list(FAMILIES[args.family].graph(**_family_values(args))), 0
 
 
-def _cmd_predict(args: argparse.Namespace) -> int:
+def _cmd_predict(args: argparse.Namespace) -> tuple[dict, int]:
     fam = FAMILIES[args.family]
     values = _family_values(args)
     computed = cover(fam.graph(**values))
@@ -155,35 +148,29 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             **cover_report(predicted, verdict),
             "verified": predicted.entries == computed.entries and verdict.is_partition,
         }
-    _emit(to_json(report), args.out)
-    return 0 if report["verified"] else 2
+    return report, 0 if report["verified"] else 2
 
 
-def _cmd_pruned(args: argparse.Namespace) -> int:
+def _cmd_pruned(args: argparse.Namespace) -> tuple[dict, int]:
     tree = _read_graph(args.tree)
     host = _read_graph(args.host) if args.host else None
     instance = pruned_instance(tree, host, args.root)
     report_obj = pruned_partition(instance, leaf_mode=args.leaf_mode)
-    body = cover_report(report_obj.cover, report_obj.verdict, report_obj.f_lower_masks)
-    report = {
+    return {
         "root": instance.root,
         "leaf_mode": report_obj.leaf_mode,
         "tree_leaves": sorted(instance.leaf_set_tree),
         "host_leaves": sorted(instance.leaf_set_host),
-        **body,
+        **cover_report(report_obj.cover, report_obj.verdict, report_obj.f_lower_masks),
         "lower_matches_f": report_obj.lower_matches_f,
         "int_equals_tree_leaves": report_obj.int_equals_tree_leaves,
-    }
-    _emit(to_json(report), args.out)
-    return 0 if report_obj.verdict.is_partition else 2
+    }, 0 if report_obj.verdict.is_partition else 2
 
 
-def _cmd_search_labelling(args: argparse.Namespace) -> int:
+def _cmd_search_labelling(args: argparse.Namespace) -> tuple[dict, int]:
     G = _read_graph(args.file)
-    result = search_labelling(
-        G, budget=args.budget, mode=args.mode, seed=args.seed
-    )
-    report = {
+    result = search_labelling(G, budget=args.budget, mode=args.mode, seed=args.seed)
+    return {
         "n": G.n,
         "mode": result.mode,
         "seed": result.seed,
@@ -191,12 +178,10 @@ def _cmd_search_labelling(args: argparse.Namespace) -> int:
         "best_permutation": list(result.permutation),
         "found_partition": result.found_partition,
         **verdict_report(result.verdict),
-    }
-    _emit(to_json(report), args.out)
-    return 0
+    }, 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     if args.family:
         checks = verify_family(args.family, **_family_values(args))
         target = f"family:{args.family}"
@@ -212,20 +197,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ],
         "all_passed": all(c.passed for c in checks),
     }
-    _emit(to_json(report), args.out)
-    return 0 if report["all_passed"] else 2
+    return report, 0 if report["all_passed"] else 2
 
 
-def _cmd_polynomial(args: argparse.Namespace) -> int:
+def _cmd_polynomial(args: argparse.Namespace) -> tuple[dict, int]:
     G = _read_graph(args.file)
     poly = activity_polynomial(G)
     terms = [
         {"mis_size": s, "ext_size": e, "int_size": i, "count": c}
         for (s, e, i), c in sorted(poly.coefficients.items())
     ]
-    report = {"n": G.n, "terms": terms, "mis_count": poly.mis_count()}
-    _emit(to_json(report), args.out)
-    return 0
+    return {"n": G.n, "terms": terms, "mis_count": poly.mis_count()}, 0
 
 
 def _build_parser() -> _Parser:
@@ -280,10 +262,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_PARSER = _build_parser()  # once per process; the module docstring is its --help text
+
+
 def run(argv: Sequence[str]) -> int:
+    """Run one command on the parser built at import, write its report, return its exit code."""
     try:
-        args = _build_parser().parse_args(argv)
-        return args.func(args)
+        args = _PARSER.parse_args(argv)
+        payload, code = args.func(args)
+        if not isinstance(payload, str):
+            payload = to_json(payload)  # the report dict is freed before the write
+        _emit(payload, args.out)
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR

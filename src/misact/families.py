@@ -42,7 +42,10 @@ __all__ = [
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, combinations(range(1, n + 1), 2))
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    full = (1 << n) - 1
+    return Graph._from_rows([0, *(full ^ 1 << v for v in range(n))])
 
 
 def empty_graph(n: int) -> Graph:
@@ -51,11 +54,12 @@ def empty_graph(n: int) -> Graph:
 
 def join(G1: Graph, G2: Graph) -> Graph:
     """Disjoint union with all cross edges; G2's labels shift up by G1.n."""
-    shift = G1.n
-    edges = list(G1.edges())
-    edges += [(u + shift, v + shift) for u, v in G2.edges()]
-    edges += [(u, v + shift) for u in G1.vertices for v in G2.vertices]
-    return Graph(G1.n + G2.n, edges)
+    low, high = G1.full_mask, G2.full_mask << G1.n
+    return Graph._from_rows([
+        0,
+        *(row | high for row in G1.adj_mask[1:]),
+        *(row << G1.n | low for row in G2.adj_mask[1:]),
+    ])
 
 
 def kn_plus_em(n: int, m: int) -> Graph:

@@ -92,6 +92,18 @@ class Graph:
         self.adj_mask = tuple(masks)
         self.full_mask = (1 << n) - 1
 
+    @classmethod
+    def _from_rows(cls, rows: Iterable[int]) -> Graph:
+        """The graph whose ``adj_mask`` is `rows`, unchecked.
+
+        rows[0] is 0, and rows[1:] must be symmetric and free of self-loops.
+        """
+        G = object.__new__(cls)
+        G.adj_mask = tuple(rows)
+        G.n = len(G.adj_mask) - 1
+        G.full_mask = (1 << G.n) - 1
+        return G
+
     @property
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -161,13 +173,9 @@ def induced_subgraph(G: Graph, S: Iterable[int]) -> tuple[Graph, dict[int, int]]
     Returns the new graph and the old-to-new label map.
     """
     keep = _vertex_set_mask(G, S)
-    old_to_new = {old: i + 1 for i, old in enumerate(_bits(keep))}
-    edges = [
-        (old_to_new[u], old_to_new[v])
-        for u in old_to_new
-        for v in _bits((G.adj_mask[u] & keep) >> u << u)  # kept neighbours above u
-    ]
-    return Graph(len(old_to_new), edges), old_to_new
+    bit = {old: 1 << i for i, old in enumerate(_bits(keep))}  # each kept vertex's new bit
+    rows = [0, *(sum(map(bit.__getitem__, _bits(G.adj_mask[u] & keep))) for u in bit)]
+    return Graph._from_rows(rows), {old: b.bit_length() for old, b in bit.items()}
 
 
 def _is_independent_mask(G: Graph, m: int) -> bool:
@@ -312,9 +320,7 @@ def _relabelled(G: Graph, image: list[int]) -> Graph:
     rows = [0] * (G.n + 1)
     for v in G.vertices:
         rows[image[v].bit_length()] = sum(map(get, _bits(G.adj_mask[v])))
-    H = object.__new__(Graph)
-    H.n, H.adj_mask, H.full_mask = G.n, tuple(rows), G.full_mask
-    return H
+    return Graph._from_rows(rows)
 
 
 def random_graph(n: int, p: float, seed: int | None = None,

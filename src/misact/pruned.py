@@ -154,23 +154,16 @@ def max_pruned_supergraph(
     deeper.  Unless inter_level_only is set, internal nodes sharing a level
     are also joined into a clique.
     """
-    leaves = levels.leaves
-    lv = levels.level
-    extra: list[tuple[int, int]] = []
-    for v in T.vertices:
-        if v in leaves:
-            continue
-        for u in T.vertices:
-            if lv[u] - lv[v] >= 2:
-                extra.append((v, u))
-            elif (
-                not inter_level_only
-                and u > v
-                and u not in leaves
-                and lv[u] == lv[v]
-            ):
-                extra.append((v, u))
-    return Graph(T.n, T.edges() + extra)
+    leaves = mask_of(levels.leaves)
+    layers = [mask_of(s) for s in levels.level_sets]
+    rows = list(T.adj_mask)
+    for i, layer in enumerate(layers):
+        up = sum(m & ~leaves for m in layers[: max(i - 1, 0)])  # internal, two or more levels up
+        down = sum(layers[i + 2:])
+        peers = 0 if inter_level_only else layer & ~leaves
+        for v in _bits(layer):
+            rows[v] |= up if leaves >> (v - 1) & 1 else up | down | peers & ~(1 << (v - 1))
+    return Graph._from_rows(rows)
 
 
 def is_pruned_graph_of(T: Graph, root: int, H: Graph) -> bool:

@@ -12,7 +12,9 @@ runs the library's cover and verdict once per trial to check that the
 labelling search, which enumerates once, picks the same labelling.  Two more
 keep the old form of a replaced fast path: mis_by_pivot_stack, the pivot
 search on the graph's masks with one stack entry per branch, leaves included;
-and edge_list_per_edge, the edge-list text one edge at a time.
+edge_list_per_edge, the edge-list text one edge at a time; and the graph
+builders complete_graph_edges, join_edges, induced_subgraph_edges and
+max_pruned_supergraph_edges, which build each derived graph from an edge list.
 """
 
 import random
@@ -323,3 +325,45 @@ def edge_list_per_edge(G: Graph) -> str:
     """emit_edge_list's text from the sorted edge pairs, one line per edge."""
     edges = [(u, v) for u in range(1, G.n + 1) for v in sorted(G.neighbors(u)) if u < v]
     return "".join([f"{G.n} {len(edges)}\n", *(f"{u} {v}\n" for u, v in edges)])
+
+
+def complete_graph_edges(n: int) -> Graph:
+    """The clique on 1..n, from its edge list."""
+    return Graph(n, combinations(range(1, n + 1), 2))
+
+
+def join_edges(G1: Graph, G2: Graph) -> Graph:
+    """Disjoint union with all cross edges, G2 shifted up by G1.n, from an edge list."""
+    shift = G1.n
+    edges = list(G1.edges())
+    edges += [(u + shift, v + shift) for u, v in G2.edges()]
+    edges += [(u, v + shift) for u in range(1, G1.n + 1) for v in range(1, G2.n + 1)]
+    return Graph(G1.n + G2.n, edges)
+
+
+def induced_subgraph_edges(G: Graph, S) -> tuple[Graph, dict[int, int]]:
+    """The subgraph induced by S, relabelled 1..|S| in label order, from an edge list."""
+    old_to_new = {old: i + 1 for i, old in enumerate(sorted(set(S)))}
+    edges = [
+        (old_to_new[u], old_to_new[v])
+        for u in old_to_new
+        for v in sorted(G.neighbors(u))
+        if v > u and v in old_to_new
+    ]
+    return Graph(len(old_to_new), edges), old_to_new
+
+
+def max_pruned_supergraph_edges(T: Graph, levels, inter_level_only: bool = False) -> Graph:
+    """The largest admissible host over T, from the tree's edges and the added pairs."""
+    leaves = levels.leaves
+    lv = levels.level
+    extra = []
+    for v in range(1, T.n + 1):
+        if v in leaves:
+            continue
+        for u in range(1, T.n + 1):
+            if lv[u] - lv[v] >= 2:
+                extra.append((v, u))
+            elif not inter_level_only and u > v and u not in leaves and lv[u] == lv[v]:
+                extra.append((v, u))
+    return Graph(T.n, T.edges() + extra)

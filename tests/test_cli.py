@@ -516,3 +516,49 @@ class TestExitCodes:
         )
         assert proc.returncode == 1
         assert proc.stderr == "error: not a tree: disconnected\n"
+
+
+class TestOneParser:
+    """Every run shares the parser built at import; no call may see the last one's options."""
+
+    def test_run_does_not_build_a_parser(self, tmp_path, capsys, monkeypatch):
+        def rebuilt():
+            raise AssertionError("run built a parser")
+
+        monkeypatch.setattr(misact.cli, "_build_parser", rebuilt)
+        assert run(["cover", write_graph(tmp_path, tailed_triangle())]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == tailed_triangle().n
+
+    def test_out_then_stdout(self, tmp_path, capsys):
+        path = write_graph(tmp_path, tailed_triangle())
+        out = tmp_path / "cover.json"
+        assert run(["cover", path, "--out", str(out)]) == 0
+        written = out.read_text()
+        assert capsys.readouterr().out == ""
+        assert run(["cover", path]) == 0
+        assert capsys.readouterr().out == written
+        assert out.read_text() == written
+
+    def test_random_search_then_exhaustive(self, tmp_path, capsys):
+        path = write_graph(tmp_path, tailed_triangle())
+        random_args = ["--mode", "random", "--budget", "5", "--seed", "1"]
+        assert run(["search-labelling", path, *random_args]) == 0
+        capsys.readouterr()
+        assert run(["search-labelling", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["mode"] == "exhaustive"
+        assert report["seed"] is None
+
+    def test_family_then_file(self, tmp_path, capsys):
+        path = write_graph(tmp_path, tailed_triangle())
+        assert run(["verify", "--family", "kn", "--n", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["target"] == "family:kn"
+        assert run(["verify", path]) == 0
+        assert json.loads(capsys.readouterr().out)["target"] == path
+
+    def test_usage_error_then_valid_command(self, tmp_path, capsys):
+        assert run(["generate", "lex", "--n", "5"]) == 64
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert run(["generate", "kn", "--n", "3"]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("3 3\n1 2\n1 3\n2 3\n", "")
