@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain, permutations
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -268,6 +268,54 @@ def _activities(G: Graph, gens: list[int], below: Sequence[int]) -> tuple[list[i
     return [i for i, _ in pairs], [e for _, e in pairs]
 
 
+def _member_tables(G: Graph, gens: list[int]) -> list[tuple[int, list[tuple[int, int, int]]]]:
+    """The label-free part of each set's activities, for _trial_masks.
+
+    Per independent set m in `gens`: m and, for each member v with
+    neighbours, (v, bit of v, the private neighbours of v), the neighbours u
+    with N(u) & m = {v}: those alone can replace v.  An isolated member has
+    no activity and no row.
+    """
+    adj = G.adj_mask
+    tables = []
+    for m in gens:
+        rows = []
+        for v in _bits(m):
+            if not adj[v]:
+                continue
+            bit, private = 1 << (v - 1), 0
+            for u in _bits(adj[v]):
+                if adj[u] & m == bit:
+                    private |= 1 << (u - 1)
+            rows.append((v, bit, private))
+        tables.append((m, rows))
+    return tables
+
+
+def _trial_masks(
+    G: Graph, tables: list[tuple[int, list[tuple[int, int, int]]]], below: Sequence[int]
+) -> list[tuple[int, int]]:
+    """(A - Int(A), A + Ext(A)) of each set in `tables`, labels compared by `below`.
+
+    up[v] holds the neighbours of v labelled above it, ~below[v].  The upper
+    end adds them for every member v (Ext), and v is internally passive, so
+    in the lower end, when up[v] meets its private neighbours.  The same
+    masks as _activities, in sum |A| steps over the members.
+    """
+    adj = G.adj_mask
+    up = [a & ~b for a, b in zip(adj, below)]
+    masks = []
+    for m, rows in tables:
+        lo, hi = 0, m
+        for v, bit, private in rows:
+            above = up[v]
+            hi |= above
+            if private & above:
+                lo |= bit
+        masks.append((lo, hi))
+    return masks
+
+
 def _cover_of(G: Graph, gens: list[int]) -> Cover:
     activities = _activities(G, gens, _natural_ranks(G.n))
     return Cover(n=G.n, entries=tuple(map(ActivityReport, gens, *activities)))
@@ -468,31 +516,40 @@ def _cover_counts(free: int, cubes: list[tuple[int, int]]) -> tuple[int, int]:
 def _plane_counts(free: int, cubes: list[tuple[int, int]]) -> tuple[int, int]:
     """_cover_counts on lattice planes, one bit per subset, for free = 2^n - 1.
 
-    A cube's subsets are the AND of the index planes of its lo bits and the
-    complements of those outside hi.  `twice` gathers the subsets a cube
-    shares with the earlier ones, `once` those of any cube.  The planes
-    take 2^n bits each, so this suits small n only.
+    Each cube's plane comes from _cube_plane, cached across calls.  `twice`
+    gathers the subsets a cube shares with the earlier ones, `once` those of
+    any cube.  The planes take 2^n bits each, so this suits small n only.
     """
-    n = free.bit_length()
-    planes = _index_planes(n)
-    outside = [~p for p in planes]
-    every = (1 << (1 << n)) - 1
     once = twice = 0
     for lo, hi in cubes:
-        s = every
-        m = lo & free
-        while m:
-            bit = m & -m
-            s &= planes[bit.bit_length() - 1]
-            m ^= bit
-        m = free & ~hi
-        while m:
-            bit = m & -m
-            s &= outside[bit.bit_length() - 1]
-            m ^= bit
+        s = _cube_plane(lo & free, hi & free)
         twice |= once & s
         once |= s
     return once.bit_count(), twice.bit_count()
+
+
+@lru_cache(maxsize=1024)
+def _cube_plane(lo: int, hi: int) -> int:
+    """Lattice plane of the cube [lo; hi]: bit x is set when lo <= x <= hi.
+
+    The low 6 bits of x and the rest meet the cube independently, so the
+    plane is the product of the low bits' spread at stride 1, which fits in
+    64 bits, and the high bits' spread at stride 64: no product carries.
+    """
+    if lo & ~hi:
+        return 0
+    return _spread(lo & 63, hi & 63, 1) * _spread(lo >> 6, hi >> 6, 64)
+
+
+@lru_cache(maxsize=1024)
+def _spread(lo: int, hi: int, stride: int) -> int:
+    """Bit stride * x for every x with lo <= x <= hi (lo <= hi)."""
+    free = s = hi & ~lo
+    out = 1 << stride * lo
+    while s:
+        out |= 1 << stride * (lo | s)
+        s = (s - 1) & free
+    return out
 
 
 def _shannon_counts(free: int, cubes: list[tuple[int, int]]) -> tuple[int, int]:
@@ -684,11 +741,15 @@ def search_labelling(
     so runs can be reproduced.  Only random mode takes `budget` and `seed`.
 
     A relabelling maps the maximal independent sets onto themselves, so they
-    are enumerated once, and each trial runs only the activities and the
-    verdict's checks on the original masks: the activities compare labels
-    through the permutation's rank masks (_rank_masks), and the repeat count
-    does not depend on vertex names or entry order.  Only the winning
-    labelling is relabelled, sorted and given its witness.
+    are enumerated once, and the label-free part of their activities, each
+    member's neighbours and private neighbours, is tabled once per search
+    (_member_tables).  Each trial reads its labels only through the
+    permutation's rank masks (_rank_masks, _trial_masks) and runs every
+    check of the verdict on the original masks (_repeats): the repeat count
+    does not depend on vertex names or entry order.  Its lattice-plane count
+    takes each cube's plane from a cache of split products (_cube_plane),
+    since most cubes recur from trial to trial.  Only the winning labelling
+    is relabelled, sorted and given its witness.
     """
     if budget is not None and budget <= 0:
         raise ValueError("budget must be positive")
@@ -714,11 +775,11 @@ def search_labelling(
         candidates = _shuffles(G.n, budget, random.Random(seed))
 
     gens = list(_mis_by_pivot(G))
+    tables = _member_tables(G, gens)
     best: tuple[int, tuple[int, ...]] | None = None  # (count, perm)
     trials = 0
     for perm in candidates:
-        below = _rank_masks(perm)
-        masks = [(m & ~i, m | e) for m, i, e in zip(gens, *_activities(G, gens, below))]
+        masks = _trial_masks(G, tables, _rank_masks(perm))
         count = _repeats(G.n, masks, DEFAULT_ORACLE_BOUND)[0]
         trials += 1
         if best is None or (count, perm) < best:

@@ -77,13 +77,12 @@ def kn_with_pendants(n: int, sizes: Sequence[int]) -> Graph:
         raise ValueError("need one pendant-block size per clique vertex")
     if any(s < 0 for s in sizes):
         raise ValueError("pendant-block sizes must be non-negative")
-    edges = list(combinations(range(1, n + 1), 2))
-    nxt = n + 1
-    for i, s in enumerate(sizes, start=1):
-        for _ in range(s):
-            edges.append((i, nxt))
-            nxt += 1
-    return Graph(n + sum(sizes), edges)
+    clique, first, rows, pendants = (1 << n) - 1, n, [0], []
+    for i, s in enumerate(sizes):
+        rows.append(clique ^ 1 << i | ((1 << s) - 1) << first)  # pendants first+1..first+s
+        pendants += [1 << i] * s
+        first += s
+    return Graph._from_rows(rows + pendants)
 
 
 def pendant_partition_predicate(sizes: Sequence[int]) -> bool:

@@ -12,16 +12,18 @@ runs the library's cover and verdict once per trial to check that the
 labelling search, which enumerates once, picks the same labelling.  Two more
 keep the old form of a replaced fast path: mis_by_pivot_stack, the pivot
 search on the graph's masks with one stack entry per branch, leaves included;
-edge_list_per_edge, the edge-list text one edge at a time; and the graph
-builders complete_graph_edges, join_edges, induced_subgraph_edges and
-max_pruned_supergraph_edges, which build each derived graph from an edge list.
+edge_list_per_edge, the edge-list text one edge at a time; plane_counts_and,
+the lattice-plane count with each cube's plane built by an AND loop over
+index planes; and the graph builders complete_graph_edges, join_edges,
+kn_with_pendants_edges, induced_subgraph_edges and max_pruned_supergraph_edges,
+which build each derived graph from an edge list.
 """
 
 import random
 from itertools import combinations, permutations
 
 from misact import Graph, cover, partition_verdict
-from misact.activities import LabellingSearchResult
+from misact.activities import LabellingSearchResult, _index_planes
 from misact.io import verdict_report
 
 
@@ -317,6 +319,34 @@ def mis_by_pivot_stack(G: Graph):
             p, x = p ^ bit, x | bit
 
 
+def plane_counts_and(free: int, cubes) -> tuple[int, int]:
+    """_plane_counts with each cube's plane an AND of index planes, for free = 2^n - 1.
+
+    A cube's subsets are the AND of the index planes of its lo bits and the
+    complements of those outside hi.
+    """
+    n = free.bit_length()
+    planes = _index_planes(n)
+    outside = [~p for p in planes]
+    every = (1 << (1 << n)) - 1
+    once = twice = 0
+    for lo, hi in cubes:
+        s = every
+        m = lo & free
+        while m:
+            bit = m & -m
+            s &= planes[bit.bit_length() - 1]
+            m ^= bit
+        m = free & ~hi
+        while m:
+            bit = m & -m
+            s &= outside[bit.bit_length() - 1]
+            m ^= bit
+        twice |= once & s
+        once |= s
+    return once.bit_count(), twice.bit_count()
+
+
 def _mask_bits(mask: int):
     return [v for v in range(1, mask.bit_length() + 1) if mask >> (v - 1) & 1]
 
@@ -330,6 +360,18 @@ def edge_list_per_edge(G: Graph) -> str:
 def complete_graph_edges(n: int) -> Graph:
     """The clique on 1..n, from its edge list."""
     return Graph(n, combinations(range(1, n + 1), 2))
+
+
+def kn_with_pendants_edges(n: int, sizes) -> Graph:
+    """The clique on 1..n with sizes[i-1] pendants on vertex i, labelled n+1, ...
+    block by block, from an edge list."""
+    edges = list(combinations(range(1, n + 1), 2))
+    nxt = n + 1
+    for i, s in enumerate(sizes, start=1):
+        for _ in range(s):
+            edges.append((i, nxt))
+            nxt += 1
+    return Graph(n + sum(sizes), edges)
 
 
 def join_edges(G1: Graph, G2: Graph) -> Graph:

@@ -11,6 +11,7 @@ from misact import (
     induced_subgraph,
     join,
     kn_plus_em,
+    kn_with_pendants,
     random_graph,
 )
 from misact.pruned import compute_levels, max_pruned_supergraph, random_pruned_instance
@@ -19,6 +20,7 @@ from reference import (
     complete_graph_edges,
     induced_subgraph_edges,
     join_edges,
+    kn_with_pendants_edges,
     max_pruned_supergraph_edges,
 )
 
@@ -35,6 +37,13 @@ def test_families(n):
         assert same_graph(kn_plus_em(n, m), want), m
         assert same_graph(join(empty_graph(m), complete_graph(n)),
                           join_edges(Graph(m), complete_graph_edges(n))), m
+
+
+@pytest.mark.parametrize("n", range(41))
+def test_kn_with_pendants(n):
+    rng = random.Random(n)
+    for sizes in [[0] * n, [1] * n] + [[rng.randint(0, 4) for _ in range(n)] for _ in range(4)]:
+        assert same_graph(kn_with_pendants(n, sizes), kn_with_pendants_edges(n, sizes)), sizes
 
 
 def test_complete_graph_rejects_a_negative_count():
