@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import re
 from functools import cache
+from itertools import chain, repeat
+from operator import and_, inv, neg, not_, or_, sub
 from typing import Any, Sequence
 
 from .activities import Cover, PartitionVerdict
@@ -106,8 +108,68 @@ class _ByteLines(dict):
         return text
 
 
-# One table per byte offset, shared by every cover; it holds only the bytes met.
+class _ListStarts(dict):
+    """(previous list empty?, lowest label) -> the text from the end of the
+    previous vertex list through the lowest label of one column's list, each
+    made on first use.  A previous flag of None marks the first entry, a
+    lowest label of 0 an empty list and one of None the end of the entries."""
+
+    def __init__(self, name: str, opens_entry: bool) -> None:
+        opening = f'\n      "{name}": ['
+        self.first = "[\n    {" + opening
+        self.head = ("\n    },\n    {" if opens_entry else ",") + opening
+
+    def __missing__(self, key: tuple[bool | None, int | None]) -> str:
+        prev_empty, low = key
+        if prev_empty is None:
+            text = self.first
+        else:
+            text = "]" if prev_empty else "\n      ]"
+            text += "\n    }\n  ]" if low is None else self.head
+        if low:
+            text += f"\n        {low}"
+        self[key] = text
+        return text
+
+
+# One table per byte offset and one per column, shared by every cover; each
+# holds only the keys met.
 _byte_lines = cache(_ByteLines)
+_list_starts = cache(_ListStarts)
+
+
+def _entries_text(n: int, columns: dict[str, list[int]]) -> str:
+    """The JSON list of entries, entry i holding the vertex list of each
+    column's mask i, as to_json lays it out at the top level of a report.
+
+    The text is one join over a list of parts, filled column by column:
+    each entry has, per column, one boundary part and then one part per
+    mask byte, each plane of bytes looked up in its offset's table.  A
+    boundary part closes the previous list and writes the lowest label of
+    its own, which is cleared from the bytes; its key says whether that list
+    is empty and the previous one was, so no pass fixes the text up.
+    """
+    *_, last = columns.values()
+    k = len(last)
+    if not k:
+        return "[]"
+    byte_tables = [_byte_lines(b) for b in range((n + 7) // 8)]
+    size = len(byte_tables)
+    stride = len(columns) * (1 + size)
+    parts = [""] * (k * stride + 1)  # and one part for the end
+    starts = [_list_starts(name, c == 0) for c, name in enumerate(columns)]
+    prev_empty = chain((None,), map(not_, last))  # the previous list: the last of the entry before
+    for c, col in enumerate(columns.values()):
+        at = c * (1 + size)
+        lows = list(map(and_, col, map(neg, col)))
+        keys = zip(prev_empty, map(int.bit_length, lows))
+        parts[at:k * stride:stride] = map(starts[c].__getitem__, keys)
+        data = b"".join(map(int.to_bytes, map(sub, col, lows), repeat(size), repeat("little")))
+        for b, table in enumerate(byte_tables):
+            parts[at + 1 + b::stride] = map(table.__getitem__, data[b::size])
+        prev_empty = map(not_, col)
+    parts[-1] = starts[0][not last[-1], None]
+    return "".join(parts)
 
 
 def cover_report(
@@ -117,27 +179,20 @@ def cover_report(
 
     "entries" is JSON text made from the masks: the list of {"mis", "int",
     "ext", "lower", "upper"} vertex lists (and "f_lower" from the masks
-    `f_lowers`) as to_json would lay it out there.  Each vertex list is one
-    join of its mask's bytes, looked up in their offsets' tables.
+    `f_lowers`, one per entry) as to_json would lay it out there.  It is
+    written column by column, each column's masks as one byte string, and
+    joined once (see _entries_text).
     """
-    tables = [_byte_lines(b) for b in range((C.n + 7) // 8)]
-    size = len(tables)
-
-    def vl(m: int) -> str:
-        lines = "".join(map(dict.__getitem__, tables, m.to_bytes(size, "little")))
-        return "[" + lines[1:] + "\n      ]" if m else "[]"
-
-    items = [
-        f'{{\n      "mis": {vl(e.mis_mask)},\n      "int": {vl(e.int_mask)},\n      "ext": '
-        f'{vl(e.ext_mask)},\n      "lower": {vl(e.lower_mask)},\n      "upper": {vl(e.upper_mask)}'
-        for e in C.entries
-    ]
+    mis = [e.mis_mask for e in C.entries]
+    ints = [e.int_mask for e in C.entries]
+    exts = [e.ext_mask for e in C.entries]
+    columns = {"mis": mis, "int": ints, "ext": exts,
+               "lower": list(map(and_, mis, map(inv, ints))), "upper": list(map(or_, mis, exts))}
     if f_lowers is not None:
-        items = [f'{it},\n      "f_lower": {vl(m)}' for it, m in zip(items, f_lowers, strict=True)]
-    if items:  # brackets on the end items, so that only the join copies the whole text
-        items[0] = "[\n    " + items[0]
-        items[-1] += "\n    }\n  ]"
-    entries = _Rendered("\n    },\n    ".join(items) or "[]")
+        columns["f_lower"] = f_lowers = list(f_lowers)
+        if len(f_lowers) != len(mis):
+            raise ValueError(f"f_lowers has {len(f_lowers)} masks for {len(mis)} cover entries")
+    entries = _Rendered(_entries_text(C.n, columns))
     return {"n": C.n, "entries": entries, **verdict_report(verdict)}
 
 

@@ -343,7 +343,8 @@ def pruned_partition(
         verdict=partition_verdict(c),
         leaf_mode=leaf_mode,
         f_lower_masks=f_lower_masks,
-        lower_matches_f=all(e.lower_mask == f for e, f in zip(c.entries, f_lower_masks)),
+        lower_matches_f=all(e.mis_mask & ~e.int_mask == f
+                            for e, f in zip(c.entries, f_lower_masks)),
         int_equals_tree_leaves=all(e.int_mask == e.mis_mask & tree_leaves for e in c.entries),
     )
 
