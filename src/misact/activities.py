@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import chain, permutations
+from itertools import permutations
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .graph import (
@@ -433,20 +433,114 @@ def _columns(rows: list[int], width: int) -> list[int]:
     ]
 
 
-def _overlapping_pairs(masks: list[tuple[int, int]]) -> Iterator[tuple[int, int]]:
-    """Every intersecting pair (i, j), i < j, in lexicographic order.
+class _PairScan:
+    """The intersecting pairs of a list of intervals, by rows over one index.
 
     Every interval must be nonempty (lo <= hi).  Intervals i and j meet when
-    lo_i <= hi_j and lo_j <= hi_i.  Per vertex bit, two k-bit index sets
-    over the entries hold those whose upper endpoint has the bit and those
-    whose lower endpoint lacks it.  Row i starts from the entries after i,
-    keeps those whose upper has each bit of lo_i and whose lower lacks each
-    bit outside hi_i, and what is left are its partners: about k*n big-int
-    operations in place of k^2 pair tests.  Below _INDEX_MIN entries the
-    pairs are tested directly, which is cheaper there.
+    lo_i <= hi_j and lo_j <= hi_i.  From _INDEX_MIN entries up, two k-bit
+    index sets per vertex bit hold the entries whose upper endpoint has the
+    bit and those whose lower endpoint lacks it (_pair_index), and a row's
+    partners are found by ANDs over them (_partners).
+
+    Iterating yields every intersecting pair (i, j), i < j, in lexicographic
+    order; smallest_meet, given the first, finds the smallest meet lower end
+    on the same index.  The walk holds the masks and the index, not the
+    scan, so a dropped scan is freed at once, with no cycle for the garbage
+    collector.
+    """
+
+    __slots__ = ("masks", "index", "_pairs")
+
+    def __init__(self, masks: list[tuple[int, int]]) -> None:
+        self.masks = masks
+        self.index = _pair_index(masks) if len(masks) >= _INDEX_MIN else None
+        self._pairs = _pairs_in_order(masks, self.index)
+
+    def __iter__(self) -> _PairScan:
+        return self
+
+    def __next__(self) -> tuple[int, int]:
+        return next(self._pairs)
+
+    def smallest_meet(self, i: int, j: int) -> int:
+        """min(lo_a | lo_b) over the intersecting pairs (a, b), given the first pair (i, j).
+
+        Every meet lower end lo_a | lo_b is at least max(lo_a, lo_b), so
+        from the first pair's x on only pairs with both lower ends below x
+        can give a smaller one.  The rows run in ascending order of lower
+        end and stop at the first with lo_a >= x.  Each row's candidates are
+        one bit set: the entries with lower end below x, a prefix of that
+        order, less the rows already visited.  The entries before row i meet
+        no interval, since their rows had no partners.
+        """
+        masks = self.masks
+        x = masks[i][0] | masks[j][0]
+        rows = sorted((masks[a][0], a) for a in range(i, len(masks)) if masks[a][0] < x)
+        live, top = sum(1 << a for _, a in rows), len(rows)
+        for lo_a, a in rows:
+            if lo_a >= x:
+                break
+            live ^= 1 << a
+            for b in _bits(_partners(masks, self.index, a, live)):
+                meet = lo_a | masks[b - 1][0]
+                if meet < x:
+                    x = meet
+                    while top and rows[top - 1][0] >= x:  # cut the prefix to lower ends below x
+                        top -= 1
+                        live &= ~(1 << rows[top][1])
+        return x
+
+
+def _pair_index(masks: list[tuple[int, int]]) -> tuple[int, list[int], list[int]]:
+    """(span, upper_has, lower_lacks) of the intervals `masks`.
+
+    span is the union of the upper ends; per vertex bit v - 1, upper_has
+    and lower_lacks hold the entries (bit j for entry j) whose upper end
+    has the bit and whose lower end lacks it.
+    """
+    span = 0
+    for _, hi in masks:
+        span |= hi
+    every = (1 << len(masks)) - 1
+    upper_has = _columns([hi for _, hi in masks], span.bit_length())
+    lower_lacks = [every ^ c for c in _columns([lo for lo, _ in masks], span.bit_length())]
+    return span, upper_has, lower_lacks
+
+
+def _partners(
+    masks: list[tuple[int, int]], index: tuple[int, list[int], list[int]] | None, i: int, cand: int
+) -> int:
+    """The entries of the bit set `cand` (bit j for entry j) whose intervals meet interval i.
+
+    With the index, what is left of cand after one AND per bit of lo_i and
+    per bit outside hi_i: about n big-int operations in place of k pair
+    tests.  Without it, below _INDEX_MIN entries, each pair is tested.
+    """
+    lo, hi = masks[i]
+    if index is None:
+        out = 0
+        for j in _bits(cand):
+            lo_j, hi_j = masks[j - 1]
+            if (lo | lo_j) & ~(hi & hi_j) == 0:
+                out |= 1 << (j - 1)
+        return out
+    span, upper_has, lower_lacks = index
+    for v in _bits(lo):
+        cand &= upper_has[v - 1]
+    for v in _bits(span & ~hi):
+        cand &= lower_lacks[v - 1]
+    return cand
+
+
+def _pairs_in_order(
+    masks: list[tuple[int, int]], index: tuple[int, list[int], list[int]] | None
+) -> Iterator[tuple[int, int]]:
+    """Every intersecting pair (i, j), i < j, in lexicographic order.
+
+    Without the index the pairs are tested directly, which is cheaper there.
     """
     k = len(masks)
-    if k < _INDEX_MIN:
+    if index is None:
         for i, (lo_i, hi_i) in enumerate(masks):
             for j in range(i + 1, k):
                 lo_j, hi_j = masks[j]
@@ -454,21 +548,15 @@ def _overlapping_pairs(masks: list[tuple[int, int]]) -> Iterator[tuple[int, int]
                 if lo & ~hi_i == 0 and lo & ~hi_j == 0:
                     yield i, j
         return
-    span = 0
-    for _, hi in masks:
-        span |= hi
-    width = span.bit_length()
     every = (1 << k) - 1
-    upper_has = _columns([hi for _, hi in masks], width)
-    lower_lacks = [every ^ c for c in _columns([lo for lo, _ in masks], width)]
-    for i, (lo, hi) in enumerate(masks):
-        cand = every >> (i + 1) << (i + 1)
-        for v in _bits(lo):
-            cand &= upper_has[v - 1]
-        for v in _bits(span & ~hi):
-            cand &= lower_lacks[v - 1]
-        for j in _bits(cand):
+    for i in range(k):
+        for j in _bits(_partners(masks, index, i, every >> (i + 1) << (i + 1))):
             yield i, j - 1
+
+
+def _overlapping_pairs(masks: list[tuple[int, int]]) -> _PairScan:
+    """Every intersecting pair (i, j), i < j, in lexicographic order (_PairScan)."""
+    return _PairScan(masks)
 
 
 def _check_oracle_bound(oracle_bound: int) -> None:
@@ -632,51 +720,50 @@ def partition_verdict(C: Cover, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> Par
          the repeat count is nonzero;
       4. a partition returns;
       5. the witness comes from the pairwise interval intersections (the
-         meets): above the bound, the first pair's; up to it, the scan
-         resumes after that pair, and the smallest meet lower end wins.
+         meets): above the bound, the first pair's; up to it, the smallest
+         meet lower end, searched on the scan's index from the first pair's
+         down (_PairScan.smallest_meet), bounded by value.
     A disagreement between methods raises RuntimeError, since it would mean
     the cover violates the coverage guarantee it was built under.
     """
     masks = _interval_masks(C)
-    repeated, pairs = _repeats(C.n, masks, oracle_bound)
-    if repeated == 0:
+    repeated, first, scan = _repeats(C.n, masks, oracle_bound)
+    if first is None:
         return PartitionVerdict(True, 0, None)
     # Up to the bound, the smallest repeated subset.  Above it, the first overlapping pair's
     # meet, whose first two holders are that pair: any earlier one would make an earlier pair.
-    x = min(masks[i][0] | masks[j][0] for i, j in pairs)
+    i, j = first
+    x = masks[i][0] | masks[j][0] if repeated is None else scan.smallest_meet(i, j)
     gens = _generators_containing(C, masks, x)
     return PartitionVerdict(False, repeated, RepeatWitness(set_of(x), gens[0], gens[1]))
 
 
 def _repeats(
     n: int, masks: list[tuple[int, int]], oracle_bound: int
-) -> tuple[int | None, Iterable[tuple[int, int]]]:
-    """partition_verdict without the witness: the repeat count and the pairs.
+) -> tuple[int | None, tuple[int, int] | None, _PairScan]:
+    """partition_verdict without the witness: the repeat count, the first pair and the scan.
 
     Runs every check of partition_verdict on the intervals `masks` of a cover
     on n vertices, with one counting pass and the pair scan stopped at its
-    first overlapping pair.  A partition gives (0, []).  Otherwise the pairs
-    that name the witness follow the count: above the bound, where the count
-    is None, the first pair alone; up to it, every overlapping pair, the
-    scan resuming lazily after the first.
+    first overlapping pair.  A partition gives (0, None, scan).  Otherwise
+    the count, None above the bound, comes with the first overlapping pair
+    and the scan, whose index smallest_meet reuses to find the witness.
     """
     full = (1 << n) - 1
     if n <= oracle_bound:
         covered, repeated = _cover_counts(full, masks)
         if missed := full + 1 - covered:
             raise RuntimeError(f"cover misses {missed} subsets; coverage violated")
-    pairs = _overlapping_pairs(masks)
-    first = next(pairs, None)
+    scan = _overlapping_pairs(masks)
+    first = next(scan, None)
     size_sum = sum(1 << (hi.bit_count() - lo.bit_count()) for lo, hi in masks)
     if (first is None) != (size_sum == full + 1):
         raise RuntimeError("partition methods disagree on a covered lattice")
     if n <= oracle_bound and (first is None) != (repeated == 0):
         raise RuntimeError("partition methods disagree on a covered lattice")
     if first is None:
-        return 0, []
-    if n > oracle_bound:
-        return None, [first]
-    return repeated, chain([first], pairs)
+        return 0, None, scan
+    return (repeated if n <= oracle_bound else None), first, scan
 
 
 def repeated_subsets_detail(

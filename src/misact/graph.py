@@ -212,7 +212,10 @@ def is_maximal_independent(G: Graph, S: Iterable[int]) -> bool:
     For independent S the two conditions are equivalent to maximality:
     a vertex can be added exactly when it is undominated.
     """
-    m = _vertex_set_mask(G, S)
+    return _is_maximal_independent_mask(G, _vertex_set_mask(G, S))
+
+
+def _is_maximal_independent_mask(G: Graph, m: int) -> bool:
     return _is_independent_mask(G, m) and (m | _open_mask(G, m)) == G.full_mask
 
 

@@ -9,7 +9,6 @@ deterministic byte for byte for identical inputs.
 from __future__ import annotations
 
 import json
-import re
 from functools import cache
 from itertools import chain, repeat
 from operator import and_, inv, neg, not_, or_, sub
@@ -86,10 +85,33 @@ def parse_edge_list(text: str) -> Graph:
 
 def emit_edge_list(G: Graph) -> str:
     """Serialize a graph to the text format, edges sorted."""
-    # Character i of bin(row >> u) reversed is vertex u + 1 + i: a scan linear in the row.
-    chunks = ("".join([f"{u} {u + i.end()}\n" for i in re.finditer("1", bin(row >> u)[:1:-1])])
-              for u, row in enumerate(G.adj_mask))
-    return "".join([f"{G.n} {G.edge_count()}\n", *chunks])  # one chunk per vertex, no edge list
+    rows = map(_row_lines, range(len(G.adj_mask)), G.adj_mask)  # one chunk per vertex
+    return "".join([f"{G.n} {G.edge_count()}\n", *rows])
+
+
+def _row_lines(u: int, row: int) -> str:
+    """The lines "u v" of the neighbours v > u in `row`, ascending.
+
+    Bit i of row >> u is vertex u + 1 + i.  find locates each nonzero byte
+    (at C speed over the zero ones), and _BYTE_BITS lists the bits inside it.
+    """
+    row >>= u
+    data = row.to_bytes((row.bit_length() + 7) // 8, "little")
+    marks = data.translate(_NONZERO)
+    head = f"{u} "
+    lines = []
+    p = marks.find(1)
+    while p >= 0:
+        base = u + 8 * p
+        for b in _BYTE_BITS[data[p]]:
+            lines.append(f"{head}{base + b}\n")
+        p = marks.find(1, p + 1)
+    return "".join(lines)
+
+
+# _NONZERO maps every nonzero byte to 1; _BYTE_BITS[x] lists the set bits of the byte x, 1-based.
+_NONZERO = bytes([0] + [1] * 255)
+_BYTE_BITS = [tuple(b + 1 for b in range(8) if x >> b & 1) for x in range(256)]
 
 
 class _Rendered(str):

@@ -26,6 +26,7 @@ from .families import FAMILIES
 from .graph import (
     Graph,
     _bits,
+    _is_maximal_independent_mask,
     enumerate_maximal_independent_sets,  # noqa: F401  bench/spans.py traces it here
     set_of,
 )
@@ -41,46 +42,111 @@ class CheckResult:
 
 
 # The location check walks the lattice in chunks of 2^_CHUNK_BITS subsets.  On
-# G(20, 0.3), 16 took 0.029 s and peaked at 0.6 MB; 12 took 0.089 s, and one
-# chunk of 2^20 took 0.059 s and peaked at 6.6 MB.
+# G(20, 0.3), seed 7, best of 15: 16 took 0.009 s and peaked at 0.7 MB; 12
+# took 0.024 s, and one chunk of 2^20 took 0.016 s and peaked at 10.8 MB.
 _CHUNK_BITS = 16
 
 
 def _first_bad_locate(G: Graph, C: Cover) -> int | None:
     """The first subset x, in mask order, whose located generator's interval lacks x.
 
-    Runs _locate_planes chunk by chunk: the low vertices get periodic
-    planes, the others constant ones, 0 or `full`.  Entry (A, lo, hi)
-    holds x when B(x) = A and lo <= x <= hi: the AND of the B planes of A
-    and the subset planes of lo, less the OR of the other B planes and of
-    the subset planes outside hi.  The bad subsets are those no entry holds.
+    Runs _locate_planes chunk by chunk: the low vertices, the window, get
+    periodic planes, the others constant ones, 0 or `full`.  Entry (A, lo,
+    hi) holds x when B(x) = A and lo <= x <= hi.  On the window's bits,
+    lo <= x <= hi is the AND of two planes, one per half of the window,
+    each built once and shared by the entries with the same bits of lo and
+    hi there (_part_planes); above it, one scalar test per chunk and per
+    group of entries with the same bits of lo and hi.  When A is a maximal
+    independent set, B(x) = A exactly when B(x) holds A and is
+    independent, since an independent superset of a maximal independent
+    set is that set: the AND of the B planes of A, outside the conflict
+    plane, the OR of B_u & B_v over the edges uv.  Any other A keeps the
+    exact test: the AND of its B planes, less the OR of the others.  The
+    bad subsets are those no entry holds.
     """
     n = G.n
     width = min(n, _CHUNK_BITS)
+    window = (1 << width) - 1
     full = (1 << (1 << width)) - 1
     low = _index_planes(width)
-    entries = [  # indices into cells: B_v at v, P_v at n + 1 + v
-        ([*_bits(e.mis_mask), *(n + 1 + v for v in _bits(lo))],
-         [*_bits(G.full_mask & ~e.mis_mask), *(n + 1 + v for v in _bits(G.full_mask & ~hi))])
-        for e, (lo, hi) in zip(C.entries, _interval_masks(C))
-    ]
+    masks = _interval_masks(C)
+    half = (1 << (width + 1) // 2) - 1
+    groups: dict[tuple[int, int], list] = {}  # by the bits above the window of lo, and outside hi
+    for e, (lo, hi), low_half, high_half in zip(
+        C.entries, masks, _part_planes(low, full, half, masks),
+        _part_planes(low, full, window ^ half, masks),
+    ):
+        m = e.mis_mask
+        others = None if _is_maximal_independent_mask(G, m) else [*_bits(G.full_mask & ~m)]
+        key = (lo & ~window, G.full_mask & ~(hi | window))
+        groups.setdefault(key, []).append((low_half, high_half, [*_bits(m)], others))
+    # each vertex u with its neighbours above u: every edge uv once
+    later = [(u, vs) for u in G.vertices if (vs := [*_bits(G.adj_mask[u] >> u << u)])]
     for base in range(0, 1 << n, 1 << width):
         planes = [0, *low, *(full if base >> i & 1 else 0 for i in range(width, n))]
-        cells = _locate_planes(G, planes, full) + planes
-        good = 0
-        for ons, offs in entries:
-            on = full
-            for i in ons:
-                on &= cells[i]
-            if on:
-                off = 0
-                for i in offs:
-                    off |= cells[i]
-                good |= on & ~off
-        bad = full ^ good
+        bad = full ^ _held(_locate_planes(G, planes, full), groups, later, base)
         if bad:
             return base + (bad & -bad).bit_length() - 1
     return None
+
+
+def _part_planes(
+    low: tuple[int, ...], full: int, part: int, masks: list[tuple[int, int]]
+) -> list[int]:
+    """Per interval (lo, hi), the plane of lo <= x <= hi on the bits of `part`.
+
+    An AND of the index planes `low` of the bits of lo and of the
+    complements of those outside hi, built once per distinct (lo & part,
+    hi & part) and shared.
+    """
+    outside = {v: full ^ low[v - 1] for v in _bits(part)}
+    shapes: dict[tuple[int, int], int] = {}
+    out = []
+    for lo, hi in masks:
+        key = (lo & part, hi & part)
+        if key not in shapes:
+            shape = full
+            for v in _bits(key[0]):
+                shape &= low[v - 1]
+            for v in _bits(part & ~hi):
+                shape &= outside[v]
+            shapes[key] = shape
+        out.append(shapes[key])
+    return out
+
+
+def _held(
+    b: list[int], groups: dict[tuple[int, int], list], later: list[tuple[int, list[int]]], base: int
+) -> int:
+    """The subsets of the chunk at `base` that their located generator's entry holds.
+
+    `b` holds the chunk's B planes; `groups` the entries by (bits of lo
+    above the window, bits above it outside hi), each entry as (its planes
+    on the window's two halves, members, non-members or None); `later` each
+    vertex u with its neighbours above u, if any.
+    """
+    good = exact = 0
+    for (lo_high, out_high), group in groups.items():
+        if lo_high & ~base or base & out_high:
+            continue
+        for low_half, high_half, members, others in group:
+            on = low_half & high_half
+            for v in members:
+                on &= b[v]
+            if others is None:
+                good |= on
+            elif on:
+                off = 0
+                for v in others:
+                    off |= b[v]
+                exact |= on & ~off
+    conflict = 0
+    for u, vs in later:
+        near = 0
+        for v in vs:
+            near |= b[v]
+        conflict |= b[u] & near
+    return good ^ (good & conflict) | exact
 
 
 def verify_all(G: Graph, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> list[CheckResult]:

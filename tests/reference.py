@@ -9,8 +9,10 @@ cover_report_lists, which take a computed cover and read its masks: they
 check what the library concludes from a cover (coverage, repeats, location)
 or how it writes one, not the cover itself; and search_labelling_loop, which
 runs the library's cover and verdict once per trial to check that the
-labelling search, which enumerates once, picks the same labelling.  Two more
-keep the old form of a replaced fast path: mis_by_pivot_stack, the pivot
+labelling search, which enumerates once, picks the same labelling.  Some
+keep the old form of a replaced fast path: partition_verdict_resumed, the
+verdict whose pair scan resumes over every overlapping pair for the
+witness; mis_by_pivot_stack, the pivot
 search on the graph's masks with one stack entry per branch, leaves included;
 edge_list_per_edge, the edge-list text one edge at a time; plane_counts_and,
 the lattice-plane count with each cube's plane built by an AND loop over
@@ -23,7 +25,15 @@ import random
 from itertools import combinations, permutations
 
 from misact import Graph, cover, partition_verdict
-from misact.activities import LabellingSearchResult, _index_planes
+from misact.activities import (
+    LabellingSearchResult,
+    PartitionVerdict,
+    RepeatWitness,
+    _cover_counts,
+    _index_planes,
+    _overlapping_pairs,
+)
+from misact.graph import set_of
 from misact.io import verdict_report
 
 
@@ -166,6 +176,39 @@ def first_bad_locate(G: Graph, C) -> int | None:
         if iv is None or iv[0] & ~x or x & ~iv[1]:
             return x
     return None
+
+
+def partition_verdict_resumed(C, oracle_bound: int = 25) -> PartitionVerdict:
+    """partition_verdict with its pair scan resumed over every overlapping pair.
+
+    The checks and exceptions of partition_verdict.  Up to the bound the
+    witness is min(lo_i | lo_j) over all the overlapping pairs; above it,
+    the first pair's meet.  Its generators are the first two entries
+    holding it.
+    """
+    masks = [(e.lower_mask, e.upper_mask) for e in C.entries]
+    full = (1 << C.n) - 1
+    if C.n <= oracle_bound:
+        covered, repeated = _cover_counts(full, masks)
+        if missed := full + 1 - covered:
+            raise RuntimeError(f"cover misses {missed} subsets; coverage violated")
+    pairs = iter(_overlapping_pairs(masks))
+    first = next(pairs, None)
+    size_sum = sum(1 << (hi.bit_count() - lo.bit_count()) for lo, hi in masks)
+    if (first is None) != (size_sum == full + 1):
+        raise RuntimeError("partition methods disagree on a covered lattice")
+    if C.n <= oracle_bound and (first is None) != (repeated == 0):
+        raise RuntimeError("partition methods disagree on a covered lattice")
+    if first is None:
+        return PartitionVerdict(True, 0, None)
+    x = masks[first[0]][0] | masks[first[1]][0]
+    if C.n > oracle_bound:
+        repeated = None
+    else:
+        for i, j in pairs:
+            x = min(x, masks[i][0] | masks[j][0])
+    gens = [e.generator for e, (lo, hi) in zip(C.entries, masks) if lo & ~x == 0 and x & ~hi == 0]
+    return PartitionVerdict(False, repeated, RepeatWitness(set_of(x), gens[0], gens[1]))
 
 
 def cover_report_lists(C, verdict, f_lowers=None) -> dict:

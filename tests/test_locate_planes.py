@@ -8,7 +8,7 @@ import pytest
 import misact.activities
 import misact.verify
 from misact import Cover, cover, random_graph, verify_all
-from misact.activities import _locate_generator_mask
+from misact.activities import ActivityReport, _locate_generator_mask
 from misact.graph import _bits, set_of
 from misact.verify import _first_bad_locate
 
@@ -69,6 +69,37 @@ def test_first_bad_matches_the_reference(monkeypatch, lattice_cases, chunk_bits)
             assert expected is None and check.passed
         else:
             assert _first_bad_locate(g, C) == expected
+
+
+def broken_covers(g, c, i):
+    """(kind, cover): the cover c of g with entry i dropped, duplicated, its
+    generator made non-independent (a non-member added: each is adjacent to
+    a member) and made non-maximal (a member removed), where g allows."""
+    e = c.entries[i]
+
+    def replaced(m):
+        return Cover(c.n, c.entries[:i] + (ActivityReport(m, e.int_mask & m, e.ext_mask),)
+                     + c.entries[i + 1:])
+
+    yield "dropped", Cover(c.n, c.entries[:i] + c.entries[i + 1:])
+    yield "duplicated", Cover(c.n, c.entries[:i + 1] + c.entries[i:])
+    if outside := g.full_mask & ~e.mis_mask:
+        yield "non-independent", replaced(e.mis_mask | outside & -outside)
+    if e.mis_mask:
+        yield "non-maximal", replaced(e.mis_mask & (e.mis_mask - 1))
+
+
+@pytest.mark.parametrize("chunk_bits", [None, 3])
+def test_broken_covers_match_the_reference(monkeypatch, chunk_bits):
+    if chunk_bits is not None:
+        monkeypatch.setattr(misact.verify, "_CHUNK_BITS", chunk_bits)
+    kinds = {}
+    for i, g in enumerate(all_named_graphs() + seeded_graphs(80, 12)):
+        c = cover(g)
+        for kind, broken in broken_covers(g, c, i % len(c.entries)):
+            kinds[kind] = kinds.get(kind, 0) + 1
+            assert _first_bad_locate(g, broken) == first_bad_locate(g, broken)
+    assert len(kinds) == 4 and min(kinds.values()) > 40
 
 
 def ascending_twice(G, planes, full):

@@ -57,6 +57,22 @@ class TestRandomIntervals:
             assert first_overlap(masks) == first_pair(masks)
             assert list(_overlapping_pairs(masks)) == list(all_pairs(masks))
 
+    def test_smallest_meet_matches_every_pair(self):
+        rng = random.Random(34)
+        found = 0
+        for _ in range(400):
+            k = rng.choice((2, rng.randint(3, _INDEX_MIN), rng.randint(_INDEX_MIN, 200)))
+            n = rng.randint(1, 18)
+            masks = random_intervals(rng, k, n, rng.choice((0.2, 0.5, 0.8)))
+            masks += rng.sample(masks, min(k, rng.randint(0, 3)))  # repeats: equal lower ends
+            scan = _overlapping_pairs(masks)
+            first = next(scan, None)
+            if first is not None:
+                found += 1
+                assert scan.smallest_meet(*first) == min(
+                    masks[i][0] | masks[j][0] for i, j in all_pairs(masks))
+        assert found > 300
+
 
 class TestCovers:
     def test_pruned_hosts_above_25(self):

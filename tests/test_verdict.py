@@ -1,5 +1,6 @@
-"""partition_verdict against the subset histogram, its single pair scan, and
-its checks on broken covers and a broken counter."""
+"""partition_verdict against the subset histogram, its single pair scan, its
+checks on broken covers and a broken counter, and its witness against the
+pair scan resumed over every pair."""
 
 import random
 
@@ -7,10 +8,17 @@ import pytest
 
 import misact.activities
 from misact import Graph, cover, partition_verdict, random_graph
-from misact.activities import Cover, PartitionVerdict, _interval_masks, _repeats
+from misact.activities import (
+    _INDEX_MIN,
+    ActivityReport,
+    Cover,
+    PartitionVerdict,
+    _interval_masks,
+    _repeats,
+)
 from misact.graph import set_of
 
-from reference import subset_histogram
+from reference import partition_verdict_resumed, subset_histogram
 from sample_graphs import all_named_graphs, dense_five_overlapping, dense_five_partition
 
 
@@ -245,3 +253,53 @@ class TestFaults:
             else:
                 assert v.repeated_subset_count is None
                 assert tuple(v.witness) == (set_of(pair[0]), pair[1], pair[2])
+
+
+def witness_covers(seed, count):
+    """Seeded covers with fewer and with at least _INDEX_MIN entries, each
+    also with one entry dropped and with one duplicated."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < 4 * count:
+        g = random_graph(rng.randint(4, 21), rng.choice((0.2, 0.3, 0.5)), rng=rng)
+        c = cover(g)
+        i = rng.randrange(len(c.entries))
+        out += [c, Cover(c.n, c.entries[:i] + c.entries[i + 1:]),
+                Cover(c.n, c.entries[:i + 1] + c.entries[i:]),
+                Cover(c.n, c.entries + c.entries[i:i + 1])]
+    return out
+
+
+class TestWitnessAgainstResumedScan:
+    """The witness search bounded by value against the scan resumed over every pair."""
+
+    @staticmethod
+    def outcome(verdict_fn, c, bound):
+        try:
+            return verdict_fn(c, oracle_bound=bound)
+        except RuntimeError as exc:
+            return str(exc)
+
+    def test_seeded_covers(self):
+        covers = witness_covers(96, 60)
+        sizes = [len(c.entries) for c in covers]
+        assert min(sizes) < _INDEX_MIN <= max(sizes)
+        assert sum(s >= _INDEX_MIN for s in sizes) >= 20
+        ties = witnesses = 0
+        for c in covers:
+            los = [e.lower_mask for e in c.entries]
+            ties += len(set(los)) < len(los)
+            for bound in (25, c.n - 1):
+                got = self.outcome(partition_verdict, c, bound)
+                assert got == self.outcome(partition_verdict_resumed, c, bound)
+                witnesses += isinstance(got, PartitionVerdict) and got.witness is not None
+        assert ties > len(covers) // 2 and witnesses > len(covers)
+
+    def test_equal_lower_ends(self):
+        # every interval holds the empty set: the first pair's meet, 0, is the smallest
+        for k in (3, _INDEX_MIN + 5):
+            c = Cover(8, tuple(ActivityReport(1 << (j % 8), 1 << (j % 8), 255 & ~(1 << (j % 8)))
+                               for j in range(k)))
+            v = partition_verdict(c, oracle_bound=25)
+            assert v == partition_verdict_resumed(c, oracle_bound=25)
+            assert v.witness.subset == frozenset()

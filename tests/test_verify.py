@@ -9,8 +9,9 @@ import misact.cli
 import misact.complete
 import misact.verify
 from misact import Cover, cover, emit_edge_list, random_graph, verify_all, verify_family
-from misact.activities import MAX_ORACLE_BOUND
-from misact.graph import set_of
+from misact.activities import MAX_ORACLE_BOUND, ActivityReport
+from misact.graph import _bits, set_of
+from misact.verify import _first_bad_locate
 
 from sample_graphs import (
     dense_five_partition,
@@ -94,6 +95,46 @@ class TestVerifyAllCore:
             check = by_name(verify_all(g))["locate_generator"]
             assert not check.passed
             assert check.detail == f"fails for {sorted(set_of(bad))}"
+
+    def test_locate_reporting_a_generator_and_a_neighbour_fails(self, monkeypatch):
+        # B(x) holds A for every x, so only the conflict plane tells B(x) from A
+        g = dense_five_partition()
+        entries = cover(g).entries
+        assert any(not e.lower_mask for e in entries)  # there [] lies in A's interval
+        for entry in entries:
+            for u in _bits(g.full_mask & ~entry.mis_mask):  # each adjacent to a member
+                located = entry.mis_mask | 1 << (u - 1)
+                monkeypatch.setattr(
+                    misact.verify, "_locate_planes",
+                    lambda G, planes, full: [0] + [full if located >> (v - 1) & 1 else 0
+                                                   for v in G.vertices])
+                # no entry has the located generator, so the first subset fails
+                check = by_name(verify_all(g))["locate_generator"]
+                assert not check.passed
+                assert check.detail == "fails for []"
+
+    @pytest.mark.parametrize("kind", ["non-independent", "non-maximal"])
+    def test_locate_reporting_a_broken_generator_of_the_cover(self, monkeypatch, kind):
+        # the entry with that generator holds exactly the subsets of its interval
+        g = dense_five_partition()
+        c = cover(g)
+        held_empty = False
+        for i, e in enumerate(c.entries):
+            outside = g.full_mask & ~e.mis_mask
+            if kind == "non-independent":
+                m = e.mis_mask | outside & -outside
+            else:
+                m = e.mis_mask & (e.mis_mask - 1)
+            broken = ActivityReport(m, m & ~e.lower_mask, e.ext_mask)  # lower end kept in m
+            C = Cover(c.n, c.entries[:i] + (broken,) + c.entries[i + 1:])
+            monkeypatch.setattr(misact.verify, "_locate_planes",
+                                lambda G, planes, full: [0] + [full if m >> (v - 1) & 1 else 0
+                                                               for v in G.vertices])
+            bad = next(x for x in range(1 << g.n)
+                       if broken.lower_mask & ~x or x & ~broken.upper_mask)
+            held_empty |= bad > 0
+            assert _first_bad_locate(g, C) == bad
+        assert held_empty
 
     @pytest.mark.parametrize("dropped", range(4))
     def test_cover_missing_an_entry_raises(self, monkeypatch, dropped):
