@@ -14,21 +14,26 @@ machinery here decides that question three independent ways.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from itertools import permutations
+from operator import or_, xor
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .graph import (
     Graph,
     Interval,
+    _WORD_BITS,
     _bits,
     _canonical_order,
     _is_independent_mask,
+    _mask_bytes,
     _mis_by_pivot,
     _mis_masks,
     _relabelled,
     _vertex_set_mask,
+    _words,
     enumerate_maximal_independent_sets,  # noqa: F401  bench/spans.py traces it here
     is_maximal_independent,
     set_of,
@@ -69,6 +74,10 @@ MAX_ORACLE_BOUND = 30
 FACTORIAL_BOUND = 9
 
 ACTIVITY_MODES = ("standard", "reversed")
+
+# The kernel's planes of a cover's interval ends, (lower, upper): bit j of
+# plane v - 1 says whether vertex v lies in the lower (upper) end of entry j.
+_Planes = tuple[list[int], list[int]]
 
 
 def _independent_mask_checked(G: Graph, A: Iterable[int]) -> int:
@@ -204,10 +213,17 @@ class ActivityReport:
 
 @dataclass(frozen=True)
 class Cover:
-    """Interval cover of the subset lattice, one entry per maximal independent set."""
+    """Interval cover of the subset lattice, one entry per maximal independent set.
+
+    A cover that cover() built on the bit-plane kernel keeps the kernel's
+    _Planes, which its verdict's pair index reads in place of the masks.
+    They take no part in equality or repr; a cover made any other way,
+    dataclasses.replace included, has none.
+    """
 
     n: int
     entries: tuple[ActivityReport, ...]
+    _planes: _Planes | None = field(default=None, init=False, compare=False, repr=False)
 
     def generators(self) -> list[frozenset[int]]:
         return [e.generator for e in self.entries]
@@ -227,15 +243,16 @@ def interval_of(G: Graph, A: Iterable[int]) -> ActivityReport:
 
 def _activity_planes(
     G: Graph, gens: list[int], below: Sequence[int] | None = None
-) -> tuple[list[int], list[int]]:
-    """(Int, Ext) masks of each independent set in `gens`, by bit slicing.
+) -> tuple[list[int], list[int], _Planes]:
+    """(Int, Ext) masks of each independent set in `gens`, by bit slicing, and its _Planes.
 
     Bit j of plane A_v says whether v lies in gens[j].  For each vertex u,
     one pass over its neighbours, those labelled below u first, finds the
     sets where u has one (`one`), two or more (`two`), and one below u
     (`low`).  Outside A_u, `low` makes u externally active; without `two`,
     u can also replace its one neighbour v below it, which makes v
-    internally passive.  Labels compare as in _activity_masks.
+    internally passive.  Labels compare as in _activity_masks.  The lower
+    ends' planes are the passive ones, the upper ends' a[u] | ext[u].
     """
     if below is None:
         below = _natural_ranks(G.n)
@@ -256,16 +273,20 @@ def _activity_planes(
         if single := e & ~two:
             for v in _bits(lower):
                 passive[v] |= single & a[v]
-    ints = [a[v] & ~passive[v] for v in G.vertices]
-    return _columns(ints, len(gens)), _columns(ext, len(gens))
+    lowers, uppers = passive[1:], list(map(or_, a[1:], ext))  # passive[v] lies in a[v]
+    ints = list(map(xor, a[1:], lowers))
+    return _columns(ints, len(gens)), _columns(ext, len(gens)), (lowers, uppers)
 
 
-def _activities(G: Graph, gens: list[int], below: Sequence[int]) -> tuple[list[int], list[int]]:
-    """(Int, Ext) masks of each independent set in `gens`, labels compared by `below`."""
+def _activities(
+    G: Graph, gens: list[int], below: Sequence[int]
+) -> tuple[list[int], list[int], _Planes | None]:
+    """(Int, Ext) masks of each independent set in `gens`, labels compared by `below`,
+    and the kernel's _Planes, None when the sets are too few for the kernel."""
     if len(gens) >= _INDEX_MIN:  # one bit-plane pass for every set's activities
         return _activity_planes(G, gens, below)
     pairs = [_activity_masks(G, m, below) for m in gens]
-    return [i for i, _ in pairs], [e for _, e in pairs]
+    return [i for i, _ in pairs], [e for _, e in pairs], None
 
 
 def _member_tables(G: Graph, gens: list[int]) -> list[tuple[int, list[tuple[int, int, int]]]]:
@@ -317,8 +338,10 @@ def _trial_masks(
 
 
 def _cover_of(G: Graph, gens: list[int]) -> Cover:
-    activities = _activities(G, gens, _natural_ranks(G.n))
-    return Cover(n=G.n, entries=tuple(map(ActivityReport, gens, *activities)))
+    ints, exts, planes = _activities(G, gens, _natural_ranks(G.n))
+    c = Cover(n=G.n, entries=tuple(map(ActivityReport, gens, ints, exts)))
+    object.__setattr__(c, "_planes", planes)  # the frozen Cover's one field outside __init__
+    return c
 
 
 def cover(G: Graph) -> Cover:
@@ -415,19 +438,31 @@ def _interval_masks(C: Cover) -> list[tuple[int, int]]:
 # and 70 entries, and _activity_planes overtook the per-set _activity_masks
 # between 50 and 60.
 _INDEX_MIN = 64
-# _BIT_DIGITS[b] maps each byte to the ASCII digit of its bit b.
+# _BIT_DIGITS[b] maps each byte to the ASCII digit of its bit b; _DIGIT_BITS maps back.
 _BIT_DIGITS = [bytes(48 + (x >> b & 1) for x in range(256)) for b in range(8)]
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _columns(rows: list[int], width: int) -> list[int]:
     """Transpose a bit matrix: bit j of column v is bit v of rows[j].
 
-    Every row must fit in `width` bits.  Column v is the byte plane v // 8
-    of the rows, sliced out of one buffer, with each byte turned into the
-    digit of its bit v % 8 by `bytes.translate`: the work per cell runs in C.
+    Every row must fit in `width` bits.  From at most _WORD_BITS wider rows
+    (the kernel's n planes of k bits), each row is spread to one byte per
+    bit, eight rows are ORed into each byte of a buffer of words, and the
+    words are read back at once.  Otherwise column v is the byte plane v // 8
+    of the rows (_mask_bytes), with each byte turned into the digit of its
+    bit v % 8 by `bytes.translate`.  The work per cell runs in C.
     """
-    size = (width + 7) // 8
-    data = b"".join(r.to_bytes(size, "little") for r in reversed(rows))
+    if len(rows) <= _WORD_BITS < width:
+        buf = bytearray(8 * width)
+        for g in range(0, len(rows), 8):
+            spread = 0  # byte j holds bit j of the eight rows from g on
+            for b, row in enumerate(rows[g:g + 8]):
+                bits = format(row, f"0{width}b").encode().translate(_DIGIT_BITS)
+                spread |= int.from_bytes(bits, "big") << b
+            buf[g >> 3::8] = spread.to_bytes(width, "little")
+        return _words(buf)
+    data, size = _mask_bytes(reversed(rows), width)
     return [  # without rows, every column is 0
         int(data[v >> 3::size].translate(_BIT_DIGITS[v & 7]) or b"0", 2) for v in range(width)
     ]
@@ -439,8 +474,9 @@ class _PairScan:
     Every interval must be nonempty (lo <= hi).  Intervals i and j meet when
     lo_i <= hi_j and lo_j <= hi_i.  From _INDEX_MIN entries up, two k-bit
     index sets per vertex bit hold the entries whose upper endpoint has the
-    bit and those whose lower endpoint lacks it (_pair_index), and a row's
-    partners are found by ANDs over them (_partners).
+    bit and those whose lower endpoint lacks it (_pair_index, from the
+    kernel's planes when given), and a row's partners are found by ANDs
+    over them (_partners).
 
     Iterating yields every intersecting pair (i, j), i < j, in lexicographic
     order; smallest_meet, given the first, finds the smallest meet lower end
@@ -451,9 +487,9 @@ class _PairScan:
 
     __slots__ = ("masks", "index", "_pairs")
 
-    def __init__(self, masks: list[tuple[int, int]]) -> None:
+    def __init__(self, masks: list[tuple[int, int]], planes: _Planes | None = None) -> None:
         self.masks = masks
-        self.index = _pair_index(masks) if len(masks) >= _INDEX_MIN else None
+        self.index = _pair_index(masks, planes) if len(masks) >= _INDEX_MIN else None
         self._pairs = _pairs_in_order(masks, self.index)
 
     def __iter__(self) -> _PairScan:
@@ -491,20 +527,24 @@ class _PairScan:
         return x
 
 
-def _pair_index(masks: list[tuple[int, int]]) -> tuple[int, list[int], list[int]]:
+def _pair_index(
+    masks: list[tuple[int, int]], planes: _Planes | None = None
+) -> tuple[int, list[int], list[int]]:
     """(span, upper_has, lower_lacks) of the intervals `masks`.
 
-    span is the union of the upper ends; per vertex bit v - 1, upper_has
-    and lower_lacks hold the entries (bit j for entry j) whose upper end
-    has the bit and whose lower end lacks it.
+    span is the union of the upper ends; per vertex bit v - 1 of span,
+    upper_has and lower_lacks hold the entries (bit j for entry j) whose
+    upper end has the bit and whose lower end lacks it.  They come from the
+    kernel's planes when given, else from the masks transposed.
     """
-    span = 0
-    for _, hi in masks:
-        span |= hi
-    every = (1 << len(masks)) - 1
-    upper_has = _columns([hi for _, hi in masks], span.bit_length())
-    lower_lacks = [every ^ c for c in _columns([lo for lo, _ in masks], span.bit_length())]
-    return span, upper_has, lower_lacks
+    if planes is None:
+        his = [hi for _, hi in masks]
+        width = max(map(int.bit_length, his), default=0)
+        planes = _columns([lo for lo, _ in masks], width), _columns(his, width)
+    lowers, uppers = planes
+    span = sum(1 << v for v, p in enumerate(uppers) if p)
+    width, every = span.bit_length(), (1 << len(masks)) - 1
+    return span, uppers[:width], [every ^ p for p in lowers[:width]]
 
 
 def _partners(
@@ -554,9 +594,9 @@ def _pairs_in_order(
             yield i, j - 1
 
 
-def _overlapping_pairs(masks: list[tuple[int, int]]) -> _PairScan:
+def _overlapping_pairs(masks: list[tuple[int, int]], planes: _Planes | None = None) -> _PairScan:
     """Every intersecting pair (i, j), i < j, in lexicographic order (_PairScan)."""
-    return _PairScan(masks)
+    return _PairScan(masks, planes)
 
 
 def _check_oracle_bound(oracle_bound: int) -> None:
@@ -727,7 +767,7 @@ def partition_verdict(C: Cover, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> Par
     the cover violates the coverage guarantee it was built under.
     """
     masks = _interval_masks(C)
-    repeated, first, scan = _repeats(C.n, masks, oracle_bound)
+    repeated, first, scan = _repeats(C.n, masks, oracle_bound, C._planes)
     if first is None:
         return PartitionVerdict(True, 0, None)
     # Up to the bound, the smallest repeated subset.  Above it, the first overlapping pair's
@@ -739,7 +779,7 @@ def partition_verdict(C: Cover, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> Par
 
 
 def _repeats(
-    n: int, masks: list[tuple[int, int]], oracle_bound: int
+    n: int, masks: list[tuple[int, int]], oracle_bound: int, planes: _Planes | None = None
 ) -> tuple[int | None, tuple[int, int] | None, _PairScan]:
     """partition_verdict without the witness: the repeat count, the first pair and the scan.
 
@@ -748,13 +788,14 @@ def _repeats(
     first overlapping pair.  A partition gives (0, None, scan).  Otherwise
     the count, None above the bound, comes with the first overlapping pair
     and the scan, whose index smallest_meet reuses to find the witness.
+    The scan's index reads the kernel's `planes` when given.
     """
     full = (1 << n) - 1
     if n <= oracle_bound:
         covered, repeated = _cover_counts(full, masks)
         if missed := full + 1 - covered:
             raise RuntimeError(f"cover misses {missed} subsets; coverage violated")
-    scan = _overlapping_pairs(masks)
+    scan = _overlapping_pairs(masks, planes)
     first = next(scan, None)
     size_sum = sum(1 << (hi.bit_count() - lo.bit_count()) for lo, hi in masks)
     if (first is None) != (size_sum == full + 1):
@@ -781,7 +822,7 @@ def repeated_subsets_detail(
     # the repeated subsets are the union of the distinct pairwise meets [lo_i|lo_j; hi_i&hi_j]
     meets = {
         (masks[i][0] | masks[j][0], masks[i][1] & masks[j][1])
-        for i, j in _overlapping_pairs(masks)
+        for i, j in _overlapping_pairs(masks, C._planes)
     }
     for lo, hi in meets:
         free = hi & ~lo
@@ -908,10 +949,9 @@ class ActivityPolynomial:
 
 def activity_polynomial(G: Graph) -> ActivityPolynomial:
     """Exact coefficient map (|S|, |Ext(S)|, |Int(S)|) -> multiplicity, keys sorted."""
-    coeffs: dict[tuple[int, int, int], int] = {}
-    for e in _cover_of(G, list(_mis_by_pivot(G))).entries:  # a multiset: no canonical sort
-        key = (e.mis_mask.bit_count(), e.ext_mask.bit_count(), e.int_mask.bit_count())
-        coeffs[key] = coeffs.get(key, 0) + 1
+    gens = list(_mis_by_pivot(G))  # a multiset: no canonical sort
+    ints, exts, _ = _activities(G, gens, _natural_ranks(G.n))
+    coeffs = Counter(zip(*(map(int.bit_count, masks) for masks in (gens, exts, ints))))
     return ActivityPolynomial(dict(sorted(coeffs.items())))
 
 

@@ -12,6 +12,8 @@ no specified order.  Graphs are immutable; every function here is pure.
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 __all__ = [
@@ -255,12 +257,45 @@ def _mis_by_pivot(G: Graph) -> Iterator[int]:
 # _REV[x] is the byte x with its eight bits in reverse order.
 _REV = bytes(int(f"{x:08b}"[::-1], 2) for x in range(256))
 
+# Masks of up to _WORD_BITS bits travel as 8-byte little-endian words, as int.to_bytes(8,
+# "little") writes them; without an 8-byte array type there is no word path.
+_WORD_BITS = 64 if array("Q").itemsize == 8 else 0
+_SWAP = sys.byteorder == "big"
+
+
+def _mask_bytes(masks: Iterable[int], width: int) -> tuple[bytes, int]:
+    """(data, stride): the masks, each below 2^width, one little-endian stride of data each:
+    a word, all packed in one call, up to _WORD_BITS bits, else one int.to_bytes per mask."""
+    if width <= _WORD_BITS:
+        words = array("Q", masks)
+        if _SWAP:
+            words.byteswap()
+        return words.tobytes(), 8
+    size = (width + 7) // 8
+    return b"".join([m.to_bytes(size, "little") for m in masks]), size
+
+
+def _words(data: bytes | bytearray) -> list[int]:
+    """The 8-byte little-endian words of data as ints, the inverse of _mask_bytes up to 64 bits."""
+    words = array("Q", data)
+    if _SWAP:
+        words.byteswap()
+    return words.tolist()
+
+
+def _bit_reversed(words: Iterable[int]) -> list[int]:
+    """Each 64-bit word with its bits in reverse order, the list reversed too."""
+    return _words(_mask_bytes(words, 64)[0].translate(_REV)[::-1])
+
 
 def _canonical_order(masks: Iterable[int], n: int) -> list[int]:
     """An antichain of masks on n vertices, sorted by their sorted member lists."""
     # No member list of an antichain is a prefix of another, so the set holding the lowest vertex
-    # of the symmetric difference comes first: descending order of the bit-reversed masks, here
-    # the little-endian bytes with each byte's bits reversed.
+    # of the symmetric difference comes first: descending order of the bit-reversed masks.  Up to
+    # a word, they are sorted as ints, and reversing the sorted words puts them back, descending;
+    # wider masks are keyed by their little-endian bytes with each byte's bits reversed.
+    if n <= _WORD_BITS:
+        return _bit_reversed(sorted(_bit_reversed(masks)))
     size = (n + 7) // 8
     return sorted(masks, key=lambda m: m.to_bytes(size, "little").translate(_REV), reverse=True)
 

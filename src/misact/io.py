@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 from functools import cache
-from itertools import chain, repeat
+from itertools import chain
 from operator import and_, inv, neg, not_, or_, sub
 from typing import Any, Sequence
 
 from .activities import Cover, PartitionVerdict
-from .graph import Graph
+from .graph import Graph, _mask_bytes
 
 __all__ = [
     "MAX_VERTICES",
@@ -166,7 +166,8 @@ def _entries_text(n: int, columns: dict[str, list[int]]) -> str:
 
     The text is one join over a list of parts, filled column by column:
     each entry has, per column, one boundary part and then one part per
-    mask byte, each plane of bytes looked up in its offset's table.  A
+    mask byte, each plane of bytes looked up in its offset's table
+    (_mask_bytes packs a column up to 64 bits as words in one call).  A
     boundary part closes the previous list and writes the lowest label of
     its own, which is cleared from the bytes; its key says whether that list
     is empty and the previous one was, so no pass fixes the text up.
@@ -186,9 +187,9 @@ def _entries_text(n: int, columns: dict[str, list[int]]) -> str:
         lows = list(map(and_, col, map(neg, col)))
         keys = zip(prev_empty, map(int.bit_length, lows))
         parts[at:k * stride:stride] = map(starts[c].__getitem__, keys)
-        data = b"".join(map(int.to_bytes, map(sub, col, lows), repeat(size), repeat("little")))
+        data, step = _mask_bytes(map(sub, col, lows), n)
         for b, table in enumerate(byte_tables):
-            parts[at + 1 + b::stride] = map(table.__getitem__, data[b::size])
+            parts[at + 1 + b::stride] = map(table.__getitem__, data[b::step])
         prev_empty = map(not_, col)
     parts[-1] = starts[0][not last[-1], None]
     return "".join(parts)

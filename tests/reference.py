@@ -16,13 +16,16 @@ witness; mis_by_pivot_stack, the pivot
 search on the graph's masks with one stack entry per branch, leaves included;
 edge_list_per_edge, the edge-list text one edge at a time; plane_counts_and,
 the lattice-plane count with each cube's plane built by an AND loop over
-index planes; and the graph builders complete_graph_edges, join_edges,
+index planes; columns_bytes, canonical_order_bytes, entries_text_bytes and
+pair_index_bytes, which lay every mask out as int.to_bytes writes it, with
+no 64-bit machine words; and the graph builders complete_graph_edges, join_edges,
 kn_with_pendants_edges, induced_subgraph_edges and max_pruned_supergraph_edges,
 which build each derived graph from an edge list.
 """
 
 import random
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
+from operator import and_, neg, not_, sub
 
 from misact import Graph, cover, partition_verdict
 from misact.activities import (
@@ -34,7 +37,7 @@ from misact.activities import (
     _overlapping_pairs,
 )
 from misact.graph import set_of
-from misact.io import verdict_report
+from misact.io import _byte_lines, _list_starts, verdict_report
 
 
 def subsets(n: int):
@@ -164,16 +167,19 @@ def _locate_with(adj: list[int], x: int) -> int:
 
 
 def first_bad_locate(G: Graph, C) -> int | None:
-    """The first subset x, in mask order, whose located generator's interval lacks x.
+    """The first subset x, in mask order, that no interval of its located generator holds.
 
-    None when every x lies in the interval of the cover entry whose
-    generator locate_mask returns for it.
+    None when every x lies in the interval of some cover entry whose
+    generator is the one locate_mask returns for it; a generator that
+    repeats holds x through any of its entries.
     """
     adj = _adjacency_masks(G)
-    intervals = {e.mis_mask: (e.lower_mask, e.upper_mask) for e in C.entries}
+    intervals = {}
+    for e in C.entries:
+        intervals.setdefault(e.mis_mask, []).append((e.lower_mask, e.upper_mask))
     for x in range(1 << G.n):
-        iv = intervals.get(_locate_with(adj, x))
-        if iv is None or iv[0] & ~x or x & ~iv[1]:
+        located = intervals.get(_locate_with(adj, x), ())
+        if not any(lo & ~x == 0 and x & ~hi == 0 for lo, hi in located):
             return x
     return None
 
@@ -452,3 +458,66 @@ def max_pruned_supergraph_edges(T: Graph, levels, inter_level_only: bool = False
             elif not inter_level_only and u > v and u not in leaves and lv[u] == lv[v]:
                 extra.append((v, u))
     return Graph(T.n, T.edges() + extra)
+
+
+# _BIT_DIGITS[b] maps each byte to the ASCII digit of its bit b; _REV[x] is the byte x reversed.
+_BIT_DIGITS = [bytes(48 + (x >> b & 1) for x in range(256)) for b in range(8)]
+_REV = bytes(int(f"{x:08b}"[::-1], 2) for x in range(256))
+
+
+def columns_bytes(rows, width: int) -> list[int]:
+    """activities._columns on byte planes at every shape: bit j of column v is bit v of rows[j].
+
+    Column v is the byte plane v // 8 of the rows, each laid out by
+    int.to_bytes, with each byte turned into the digit of its bit v % 8.
+    """
+    size = (width + 7) // 8
+    data = b"".join(r.to_bytes(size, "little") for r in reversed(rows))
+    return [
+        int(data[v >> 3::size].translate(_BIT_DIGITS[v & 7]) or b"0", 2) for v in range(width)
+    ]
+
+
+def canonical_order_bytes(masks, n: int) -> list[int]:
+    """graph._canonical_order keyed by bytes at every n: each mask's little-endian
+    bytes with each byte's bits reversed, in descending order."""
+    size = (n + 7) // 8
+    return sorted(masks, key=lambda m: m.to_bytes(size, "little").translate(_REV), reverse=True)
+
+
+def entries_text_bytes(n: int, columns: dict) -> str:
+    """io._entries_text with each column's masks laid out by int.to_bytes, at every n."""
+    *_, last = columns.values()
+    k = len(last)
+    if not k:
+        return "[]"
+    byte_tables = [_byte_lines(b) for b in range((n + 7) // 8)]
+    size = len(byte_tables)
+    stride = len(columns) * (1 + size)
+    parts = [""] * (k * stride + 1)
+    starts = [_list_starts(name, c == 0) for c, name in enumerate(columns)]
+    prev_empty = chain((None,), map(not_, last))
+    for c, col in enumerate(columns.values()):
+        at = c * (1 + size)
+        lows = list(map(and_, col, map(neg, col)))
+        keys = zip(prev_empty, map(int.bit_length, lows))
+        parts[at:k * stride:stride] = map(starts[c].__getitem__, keys)
+        data = b"".join(m.to_bytes(size, "little") for m in map(sub, col, lows))
+        for b, table in enumerate(byte_tables):
+            parts[at + 1 + b::stride] = map(table.__getitem__, data[b::size])
+        prev_empty = map(not_, col)
+    parts[-1] = starts[0][not last[-1], None]
+    return "".join(parts)
+
+
+def pair_index_bytes(masks) -> tuple[int, list[int], list[int]]:
+    """activities._pair_index transposed on byte planes (columns_bytes): the
+    union of the upper ends, and per bit of it the entries whose upper end
+    has the bit and those whose lower end lacks it."""
+    span = 0
+    for _, hi in masks:
+        span |= hi
+    every = (1 << len(masks)) - 1
+    upper_has = columns_bytes([hi for _, hi in masks], span.bit_length())
+    lower_lacks = [every ^ c for c in columns_bytes([lo for lo, _ in masks], span.bit_length())]
+    return span, upper_has, lower_lacks

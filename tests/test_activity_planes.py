@@ -42,7 +42,7 @@ def test_planes_match_the_per_set_pass(g):
     rng = random.Random(g.n)
     subsets = [m & rng.getrandbits(g.n) if g.n else 0 for m in gens]  # independent, not maximal
     for sets in (gens, subsets, gens[:1], []):
-        ints, exts = _activity_planes(g, sets)
+        ints, exts, _ = _activity_planes(g, sets)
         assert list(zip(ints, exts)) == [_activity_masks(g, m) for m in sets]
 
 

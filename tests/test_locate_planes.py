@@ -71,6 +71,22 @@ def test_first_bad_matches_the_reference(monkeypatch, lattice_cases, chunk_bits)
             assert _first_bad_locate(g, C) == expected
 
 
+def test_a_repeated_generator_holds_x_through_any_copy():
+    """An entry appended with the first entry's generator and the one-set
+    interval [A; A] leaves every subset held: the first copy still holds
+    them.  The reference once kept only the last copy of a generator and
+    flagged x = 3 here."""
+    g = dense_five_partition()
+    c = cover(g)
+    first = c.entries[0].mis_mask
+    doubled = Cover(c.n, c.entries + (ActivityReport(first, 0, 0),))
+    assert first_bad_locate(g, doubled) is None
+    assert _first_bad_locate(g, doubled) is None
+    # with only the short copy, the first subset it misses is flagged by both
+    alone = Cover(c.n, c.entries[1:] + (ActivityReport(first, 0, 0),))
+    assert first_bad_locate(g, alone) == _first_bad_locate(g, alone) == 3
+
+
 def broken_covers(g, c, i):
     """(kind, cover): the cover c of g with entry i dropped, duplicated, its
     generator made non-independent (a non-member added: each is adjacent to

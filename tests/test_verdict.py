@@ -117,9 +117,9 @@ class TestSinglePairScan:
         calls = []
         scan = misact.activities._overlapping_pairs
 
-        def counted(masks):
+        def counted(masks, planes=None):
             calls.append(len(masks))
-            return scan(masks)
+            return scan(masks, planes)
 
         monkeypatch.setattr(misact.activities, "_overlapping_pairs", counted)
         return calls
