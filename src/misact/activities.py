@@ -96,8 +96,8 @@ def ext_active(G: Graph, A: Iterable[int], mode: str = "standard") -> frozenset[
     if mode not in ACTIVITY_MODES:
         raise ValueError(f"mode must be one of {ACTIVITY_MODES}")
     m = _independent_mask_checked(G, A)
-    below = None if mode == "standard" else _rank_masks(range(G.n, 0, -1))  # labels reversed
-    return set_of(_activity_masks(G, m, below)[1])
+    up = None if mode == "standard" else _orientation(G, range(G.n, 0, -1))  # labels reversed
+    return set_of(_activity_masks(G, m, up)[1])
 
 
 def subs(G: Graph, A: Iterable[int], v: int) -> frozenset[int]:
@@ -109,51 +109,33 @@ def subs(G: Graph, A: Iterable[int], v: int) -> frozenset[int]:
     return frozenset(u for u in _bits(G.adj_mask[v]) if not G.adj_mask[u] & rest)
 
 
-def _rank_masks(perm: Sequence[int]) -> list[int]:
-    """below[u]: the vertices labelled below u when vertex v is labelled perm[v-1].
+def _orientation(G: Graph, perm: Sequence[int] | None = None) -> list[int]:
+    """up[v]: the neighbours of v labelled above v when vertex v is labelled perm[v-1].
 
-    Prefix ORs along the labels; index 0 is unused.  Comparing labels after a
-    relabelling by perm is testing these masks on the original vertices.
+    Int and Ext compare a vertex's label only with its neighbours', so the
+    kernels read a labelling only through this orientation of its edges,
+    each from the lower label to the higher.  Without perm the labels are
+    the vertex numbers, and up[v] is adj[v] >> v << v; otherwise one pass
+    over the labels from the highest down.  Index 0 is unused.
     """
-    order = [0] * len(perm)
+    adj = G.adj_mask
+    if perm is None:
+        return [a >> v << v for v, a in enumerate(adj)]
+    order = [0] * G.n  # order[p - 1]: the vertex labelled p
     for v, p in enumerate(perm, 1):
         order[p - 1] = v
-    below, seen = [0] * (len(perm) + 1), 0
-    for v in order:
-        below[v] = seen
-        seen |= 1 << (v - 1)
-    return below
+    up, above = [0] * (G.n + 1), 0
+    for v in reversed(order):
+        up[v] = adj[v] & above
+        above |= 1 << (v - 1)
+    return up
 
 
-@cache
-def _natural_ranks(n: int) -> tuple[int, ...]:
-    """_rank_masks of the identity: below[u] holds the vertices 1..u-1."""
-    return (0, *((1 << u) - 1 for u in range(n)))
-
-
-def _activity_masks(G: Graph, m: int, below: Sequence[int] | None = None) -> tuple[int, int]:
-    """(Int, Ext) of the independent set m in one pass over its non-members.
-
-    A non-member u with x = N(u) & A is externally active when x holds a
-    label below u.  When x is the single member v, u can replace v (it has
-    no other neighbour in A), and if v is labelled below u that makes v
-    internally passive.  Labels compare by the rank masks `below`
-    (_rank_masks), by default the vertex numbers themselves.
-    """
-    if below is None:
-        below = _natural_ranks(G.n)
-    passive = ext = 0
-    rest = G.full_mask & ~m
-    while rest:
-        bit = rest & -rest
-        u = bit.bit_length()
-        x = G.adj_mask[u] & m
-        if x & below[u]:
-            ext |= bit
-            if not x & (x - 1):
-                passive |= x
-        rest ^= bit
-    return m & ~passive, ext
+def _activity_masks(G: Graph, m: int, up: list[int] | None = None) -> tuple[int, int]:
+    """(Int, Ext) of the independent set m under the orientation `up`, by default
+    the vertex numbers' (_orientation): _trial_masks on its one member table."""
+    [(lo, hi)] = _trial_masks(_member_tables(G, [m]), _orientation(G) if up is None else up)
+    return m ^ lo, hi ^ m
 
 
 def int_active(G: Graph, A: Iterable[int]) -> frozenset[int]:
@@ -215,8 +197,9 @@ class ActivityReport:
 class Cover:
     """Interval cover of the subset lattice, one entry per maximal independent set.
 
-    A cover that cover() built on the bit-plane kernel keeps the kernel's
-    _Planes, which its verdict's pair index reads in place of the masks.
+    A cover that cover() built keeps the bit-plane kernel's _Planes, which
+    its verdict's pair index, from _INDEX_MIN entries up, reads in place of
+    the masks.
     They take no part in equality or repr; a cover made any other way,
     dataclasses.replace included, has none.
     """
@@ -242,31 +225,29 @@ def interval_of(G: Graph, A: Iterable[int]) -> ActivityReport:
 
 
 def _activity_planes(
-    G: Graph, gens: list[int], below: Sequence[int] | None = None
+    G: Graph, gens: list[int], up: list[int]
 ) -> tuple[list[int], list[int], _Planes]:
     """(Int, Ext) masks of each independent set in `gens`, by bit slicing, and its _Planes.
 
     Bit j of plane A_v says whether v lies in gens[j].  For each vertex u,
-    one pass over its neighbours, those labelled below u first, finds the
-    sets where u has one (`one`), two or more (`two`), and one below u
-    (`low`).  Outside A_u, `low` makes u externally active; without `two`,
-    u can also replace its one neighbour v below it, which makes v
-    internally passive.  Labels compare as in _activity_masks.  The lower
-    ends' planes are the passive ones, the upper ends' a[u] | ext[u].
+    one pass over its neighbours, those below u in the orientation `up`
+    (_orientation) first, finds the sets where u has one (`one`), two or
+    more (`two`), and one below u (`low`).  Outside A_u, `low` makes u
+    externally active; without `two`, u can also replace its one neighbour
+    v below it, which makes v internally passive.  The lower ends' planes
+    are the passive ones, the upper ends' a[u] | ext[u].
     """
-    if below is None:
-        below = _natural_ranks(G.n)
     adj, a = G.adj_mask, [0, *_columns(gens, G.n)]
     passive = [0] * (G.n + 1)
     ext = []
     for u in G.vertices:
-        lower = adj[u] & below[u]
+        lower = adj[u] ^ up[u]
         one = two = 0
         for v in _bits(lower):
             two |= one & a[v]
             one |= a[v]
         low = one
-        for v in _bits(adj[u] ^ lower):
+        for v in _bits(up[u]):
             two |= one & a[v]
             one |= a[v]
         ext.append(e := low & ~a[u])
@@ -276,17 +257,6 @@ def _activity_planes(
     lowers, uppers = passive[1:], list(map(or_, a[1:], ext))  # passive[v] lies in a[v]
     ints = list(map(xor, a[1:], lowers))
     return _columns(ints, len(gens)), _columns(ext, len(gens)), (lowers, uppers)
-
-
-def _activities(
-    G: Graph, gens: list[int], below: Sequence[int]
-) -> tuple[list[int], list[int], _Planes | None]:
-    """(Int, Ext) masks of each independent set in `gens`, labels compared by `below`,
-    and the kernel's _Planes, None when the sets are too few for the kernel."""
-    if len(gens) >= _INDEX_MIN:  # one bit-plane pass for every set's activities
-        return _activity_planes(G, gens, below)
-    pairs = [_activity_masks(G, m, below) for m in gens]
-    return [i for i, _ in pairs], [e for _, e in pairs], None
 
 
 def _member_tables(G: Graph, gens: list[int]) -> list[tuple[int, list[tuple[int, int, int]]]]:
@@ -314,17 +284,15 @@ def _member_tables(G: Graph, gens: list[int]) -> list[tuple[int, list[tuple[int,
 
 
 def _trial_masks(
-    G: Graph, tables: list[tuple[int, list[tuple[int, int, int]]]], below: Sequence[int]
+    tables: list[tuple[int, list[tuple[int, int, int]]]], up: list[int]
 ) -> list[tuple[int, int]]:
-    """(A - Int(A), A + Ext(A)) of each set in `tables`, labels compared by `below`.
+    """(A - Int(A), A + Ext(A)) of each set in `tables` under the orientation `up`.
 
-    up[v] holds the neighbours of v labelled above it, ~below[v].  The upper
-    end adds them for every member v (Ext), and v is internally passive, so
-    in the lower end, when up[v] meets its private neighbours.  The same
-    masks as _activities, in sum |A| steps over the members.
+    up[v] holds the neighbours of v labelled above it (_orientation).  The
+    upper end adds them for every member v (Ext), and v is internally
+    passive, so in the lower end, when up[v] meets its private neighbours.
+    The same masks as _activity_planes, in sum |A| steps over the members.
     """
-    adj = G.adj_mask
-    up = [a & ~b for a, b in zip(adj, below)]
     masks = []
     for m, rows in tables:
         lo, hi = 0, m
@@ -338,7 +306,7 @@ def _trial_masks(
 
 
 def _cover_of(G: Graph, gens: list[int]) -> Cover:
-    ints, exts, planes = _activities(G, gens, _natural_ranks(G.n))
+    ints, exts, planes = _activity_planes(G, gens, _orientation(G))
     c = Cover(n=G.n, entries=tuple(map(ActivityReport, gens, ints, exts)))
     object.__setattr__(c, "_planes", planes)  # the frozen Cover's one field outside __init__
     return c
@@ -432,11 +400,13 @@ def _interval_masks(C: Cover) -> list[tuple[int, int]]:
     return [(e.mis_mask & ~e.int_mask, e.mis_mask | e.ext_mask) for e in C.entries]
 
 
-# Covers with fewer entries skip the bit-plane paths, where transposing
-# costs more than it saves.  Measured on G(n, p) with n 10-26 (and tree
-# covers for the index): the pair index overtook the pair loop between 40
-# and 70 entries, and _activity_planes overtook the per-set _activity_masks
-# between 50 and 60.
+# Covers with fewer entries test their pairs directly, where building the
+# pair index costs more than it saves.  Measured on G(n, p) with n 10-26 and
+# on tree covers: the index overtook the pair loop between 40 and 70 entries.
+# The activity kernel runs on bit planes at every size: on the seed-0 bench
+# covers it took 67-72 us at k = 38 and 98-104 us at k = 52, where the
+# per-set pass it replaced took 82-85 and 139-150 us, and 21-39 us on the
+# search winners (k 8-14) against 7-19 us, one cover per 5.7 ms op.
 _INDEX_MIN = 64
 # _BIT_DIGITS[b] maps each byte to the ASCII digit of its bit b; _DIGIT_BITS maps back.
 _BIT_DIGITS = [bytes(48 + (x >> b & 1) for x in range(256)) for b in range(8)]
@@ -873,7 +843,7 @@ def search_labelling(
     are enumerated once, and the label-free part of their activities, each
     member's neighbours and private neighbours, is tabled once per search
     (_member_tables).  Each trial reads its labels only through the
-    permutation's rank masks (_rank_masks, _trial_masks) and runs every
+    permutation's orientation (_orientation, _trial_masks) and runs every
     check of the verdict on the original masks (_repeats): the repeat count
     does not depend on vertex names or entry order.  Its lattice-plane count
     takes each cube's plane from a cache of split products (_cube_plane),
@@ -908,7 +878,7 @@ def search_labelling(
     best: tuple[int, tuple[int, ...]] | None = None  # (count, perm)
     trials = 0
     for perm in candidates:
-        masks = _trial_masks(G, tables, _rank_masks(perm))
+        masks = _trial_masks(tables, _orientation(G, perm))
         count = _repeats(G.n, masks, DEFAULT_ORACLE_BOUND)[0]
         trials += 1
         if best is None or (count, perm) < best:
@@ -950,7 +920,7 @@ class ActivityPolynomial:
 def activity_polynomial(G: Graph) -> ActivityPolynomial:
     """Exact coefficient map (|S|, |Ext(S)|, |Int(S)|) -> multiplicity, keys sorted."""
     gens = list(_mis_by_pivot(G))  # a multiset: no canonical sort
-    ints, exts, _ = _activities(G, gens, _natural_ranks(G.n))
+    ints, exts, _ = _activity_planes(G, gens, _orientation(G))
     coeffs = Counter(zip(*(map(int.bit_count, masks) for masks in (gens, exts, ints))))
     return ActivityPolynomial(dict(sorted(coeffs.items())))
 

@@ -230,11 +230,11 @@ def _mis_by_pivot(G: Graph) -> Iterator[int]:
     if its x is empty and dropped otherwise.  Isolated vertices, in every set, start r.
     """
     full = G.full_mask
-    comp = [0] + [full & ~(G.adj_mask[v] | 1 << (v - 1)) for v in G.vertices]
     isolated = mask_of(v for v in G.vertices if not G.adj_mask[v])
     if isolated == full:  # no edges, n = 0 included
         yield full
         return
+    comp = [0] + [full & ~(G.adj_mask[v] | 1 << (v - 1)) for v in G.vertices]
     stack = [(isolated, full & ~isolated, 0)]
     while stack:
         r, p, x = stack.pop()

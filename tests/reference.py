@@ -10,7 +10,9 @@ check what the library concludes from a cover (coverage, repeats, location)
 or how it writes one, not the cover itself; and search_labelling_loop, which
 runs the library's cover and verdict once per trial to check that the
 labelling search, which enumerates once, picks the same labelling.  Some
-keep the old form of a replaced fast path: partition_verdict_resumed, the
+keep the old form of a replaced fast path: activity_masks_loop, the (Int,
+Ext) of one set in a pass over its non-members on the graph's masks, with
+labels compared by rank_masks; partition_verdict_resumed, the
 verdict whose pair scan resumes over every overlapping pair for the
 witness; mis_by_pivot_stack, the pivot
 search on the graph's masks with one stack entry per branch, leaves included;
@@ -119,6 +121,38 @@ def brute_is_partition(G: Graph) -> bool:
         if sum(1 for _, lo, hi in triples if lo <= X <= hi) != 1:
             return False
     return True
+
+
+def rank_masks(perm) -> list[int]:
+    """below[u]: the vertices labelled below u when vertex v is labelled perm[v-1].
+
+    Index 0 is unused; one label comparison per pair of vertices.
+    """
+    n = len(perm)
+    return [0] + [sum(1 << (w - 1) for w in range(1, n + 1) if perm[w - 1] < perm[u - 1])
+                  for u in range(1, n + 1)]
+
+
+def activity_masks_loop(G: Graph, m: int, below) -> tuple[int, int]:
+    """(Int, Ext) of the independent set m in one pass over its non-members.
+
+    A non-member u with x = N(u) & A is externally active when x holds a
+    label below u.  When x is the single member v, u can replace v (it has
+    no other neighbour in A), and if v is labelled below u that makes v
+    internally passive.  Labels compare by the rank masks `below`.
+    """
+    passive = ext = 0
+    rest = G.full_mask & ~m
+    while rest:
+        bit = rest & -rest
+        u = bit.bit_length()
+        x = G.adj_mask[u] & m
+        if x & below[u]:
+            ext |= bit
+            if not x & (x - 1):
+                passive |= x
+        rest ^= bit
+    return m & ~passive, ext
 
 
 def subset_histogram(C) -> bytearray:

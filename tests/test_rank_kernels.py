@@ -1,4 +1,5 @@
-"""The activity kernels with rank masks against the same kernels on a relabelled graph."""
+"""The activity kernels under a permutation's orientation against the same
+kernels on the relabelled graph, and the orientation against the labels."""
 
 import random
 
@@ -7,14 +8,15 @@ import pytest
 from misact import Graph, ext_active, random_graph, relabel
 from misact.activities import (
     _INDEX_MIN,
-    _activities,
     _activity_masks,
     _activity_planes,
-    _natural_ranks,
-    _rank_masks,
+    _member_tables,
+    _orientation,
+    _trial_masks,
 )
 from misact.graph import _bits, _mis_masks
 
+from reference import activity_masks_loop, rank_masks
 from sample_graphs import disjoint_cliques
 
 SEED = 20261019
@@ -49,31 +51,38 @@ def test_graphs_reach_both_sides_of_the_crossover():
     assert any(g.n <= 12 and k >= _INDEX_MIN for g, k in zip(GRAPHS, ks))
 
 
-def test_rank_masks():
+def test_orientation_is_the_label_comparison():
+    """up[v] holds the neighbours of v with a larger label, under the vertex
+    numbers, the reversed labels and seeded permutations."""
     rng = random.Random(SEED)
-    for n in range(10):
-        perm = seeded_perm(n, rng)
-        below = _rank_masks(perm)
-        assert below[1:] == [sum(1 << (w - 1) for w in range(1, n + 1) if perm[w - 1] < perm[u - 1])
-                             for u in range(1, n + 1)]
-        assert _rank_masks(range(1, n + 1)) == list(_natural_ranks(n))
+    for g in GRAPHS:
+        natural = tuple(range(1, g.n + 1))
+        for perm in (natural, tuple(range(g.n, 0, -1)), seeded_perm(g.n, rng)):
+            expected = [0] + [sum(1 << (u - 1) for u in g.neighbors(v) if perm[u - 1] > perm[v - 1])
+                              for v in g.vertices]
+            assert _orientation(g, perm) == expected, perm
+        assert _orientation(g) == _orientation(g, natural)
 
 
 @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}m{g.edge_count()}")
 def test_rank_kernels_match_the_relabelled_graph(g):
-    """(Int, Ext) under the rank masks of perm, renamed by perm, are those of
-    the renamed sets on relabel(g, perm), on both kernels."""
+    """(Int, Ext) under the orientation of perm, renamed by perm, are those of
+    the renamed sets on relabel(g, perm), on every kernel and the reference loop."""
     rng = random.Random(g.n)
     gens = _mis_masks(g)
+    tables = _member_tables(g, gens)
     for perm in [tuple(range(1, g.n + 1))] + [seeded_perm(g.n, rng) for _ in range(3)]:
-        below = _rank_masks(perm)
+        up = _orientation(g, perm)
         h = relabel(g, perm)
-        expected = _activities(h, [renamed(m, perm) for m in gens], _natural_ranks(g.n))
-        per_set = [_activity_masks(g, m, below) for m in gens]
-        planes = _activity_planes(g, gens, below)[:2]
-        for ints, exts in ([i for i, _ in per_set], [e for _, e in per_set]), planes:
-            assert [renamed(m, perm) for m in ints] == expected[0]
-            assert [renamed(m, perm) for m in exts] == expected[1]
+        expected = [activity_masks_loop(h, renamed(m, perm), rank_masks(range(1, g.n + 1)))
+                    for m in gens]
+        ints, exts, _ = _activity_planes(g, gens, up)
+        trial = [(m ^ lo, hi ^ m) for m, (lo, hi) in zip(gens, _trial_masks(tables, up))]
+        below = rank_masks(perm)
+        loop = [activity_masks_loop(g, m, below) for m in gens]
+        single = [_activity_masks(g, m, up) for m in gens]
+        for pairs in list(zip(ints, exts)), trial, loop, single:
+            assert [(renamed(i, perm), renamed(e, perm)) for i, e in pairs] == expected, perm
 
 
 def test_reversed_mode_ext_on_seeded_sets():

@@ -1,13 +1,20 @@
-"""The labelling search's trial kernel against the activity kernels it replaces."""
+"""The labelling search's trial kernel, and the cover kernel, against the reference loop."""
 
 import random
 
 import pytest
 
 from misact import Graph, complete_graph, random_graph
-from misact.activities import _INDEX_MIN, _activities, _member_tables, _rank_masks, _trial_masks
+from misact.activities import (
+    _INDEX_MIN,
+    _activity_planes,
+    _member_tables,
+    _orientation,
+    _trial_masks,
+)
 from misact.graph import _mis_by_pivot
 
+from reference import activity_masks_loop, rank_masks
 from sample_graphs import disjoint_cliques
 
 SEED = 20261021
@@ -32,8 +39,8 @@ STRUCTURED = [
 
 def gnp_graphs() -> list[Graph]:
     """G(n, p) for n 0-16, 12 per n, and the first ten draws of G(16, 0.15)
-    with _INDEX_MIN or more maximal independent sets, which _activities takes
-    on bit planes."""
+    with _INDEX_MIN or more maximal independent sets, which the verdict's pair
+    scan takes on its index."""
     rng = random.Random(SEED)
     graphs = [random_graph(n, rng.choice((0.1, 0.2, 0.4, 0.7)), rng=rng)
               for n in range(17) for _ in range(12)]
@@ -44,8 +51,9 @@ def gnp_graphs() -> list[Graph]:
 GRAPHS = STRUCTURED + gnp_graphs()
 
 
-def expected_masks(g: Graph, gens: list[int], below) -> list[tuple[int, int]]:
-    return [(m & ~i, m | e) for m, i, e in zip(gens, *_activities(g, gens, below)[:2])]
+def expected_masks(g: Graph, gens: list[int], perm) -> list[tuple[int, int]]:
+    below = rank_masks(perm)
+    return [(m & ~i, m | e) for m in gens for i, e in [activity_masks_loop(g, m, below)]]
 
 
 def test_random_graphs_reach_both_sides_of_the_crossover():
@@ -63,5 +71,7 @@ def test_trial_masks_match_the_activity_kernels(g):
     for _ in range(4):
         perms.append(rng.sample(range(1, g.n + 1), g.n))
     for perm in perms:
-        below = _rank_masks(perm)
-        assert _trial_masks(g, tables, below) == expected_masks(g, gens, below), perm
+        up, expected = _orientation(g, perm), expected_masks(g, gens, perm)
+        assert _trial_masks(tables, up) == expected, perm
+        ints, exts, _ = _activity_planes(g, gens, up)
+        assert [(m & ~i, m | e) for m, i, e in zip(gens, ints, exts)] == expected, perm

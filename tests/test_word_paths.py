@@ -150,5 +150,9 @@ def test_verdict_is_the_same_without_planes(covers):
 def test_planes_are_kept_only_by_the_kernel(covers):
     c = covers[0]
     assert dataclasses.replace(c, entries=c.entries[1:])._planes is None
-    small = cover(Graph(6, [(1, 2), (3, 4), (5, 6)]))  # 8 sets, below the kernel
-    assert len(small.entries) < _INDEX_MIN and small._planes is None
+    for small in map(cover, (Graph(0), Graph(3), Graph(6, [(1, 2), (3, 4), (5, 6)]))):
+        assert len(small.entries) < _INDEX_MIN  # below the pair index, on the kernel all the same
+        lowers, uppers = small._planes
+        masks = _interval_masks(small)
+        assert lowers == columns_bytes([lo for lo, _ in masks], small.n)
+        assert uppers == columns_bytes([hi for _, hi in masks], small.n)
