@@ -24,6 +24,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .graph import (
     Graph,
     Interval,
+    _DIGIT_BITS,
     _WORD_BITS,
     _bits,
     _canonical_order,
@@ -78,6 +79,7 @@ ACTIVITY_MODES = ("standard", "reversed")
 # The kernel's planes of a cover's interval ends, (lower, upper): bit j of
 # plane v - 1 says whether vertex v lies in the lower (upper) end of entry j.
 _Planes = tuple[list[int], list[int]]
+_Index = tuple[int, list[int], list[int]]  # the verdict's pair index (_pair_index)
 
 
 def _independent_mask_checked(G: Graph, A: Iterable[int]) -> int:
@@ -198,8 +200,7 @@ class Cover:
     """Interval cover of the subset lattice, one entry per maximal independent set.
 
     A cover that cover() built keeps the bit-plane kernel's _Planes, which
-    its verdict's pair index, from _INDEX_MIN entries up, reads in place of
-    the masks.
+    its verdict's pair index (_pair_index) reads in place of the masks.
     They take no part in equality or repr; a cover made any other way,
     dataclasses.replace included, has none.
     """
@@ -340,8 +341,9 @@ def _locate_planes(G: Graph, planes: list[int], full: int) -> list[int]:
 
 
 def _locate_generator_mask(G: Graph, xm: int) -> int:
-    b = _locate_planes(G, [0, *(xm >> i & 1 for i in range(G.n))], 1)
-    return sum(b[v] << (v - 1) for v in G.vertices)
+    # The one-subset planes are 0 or 1, unpacked from and packed into one binary string.
+    b = _locate_planes(G, [0, *format(xm, f"0{G.n}b").encode().translate(_DIGIT_BITS)[::-1]], 1)
+    return int(bytes(b[:0:-1]).translate(_BIT_DIGITS[0]) or b"0", 2)
 
 
 def locate_generator(G: Graph, X: Iterable[int]) -> frozenset[int]:
@@ -400,17 +402,14 @@ def _interval_masks(C: Cover) -> list[tuple[int, int]]:
     return [(e.mis_mask & ~e.int_mask, e.mis_mask | e.ext_mask) for e in C.entries]
 
 
-# Covers with fewer entries test their pairs directly, where building the
-# pair index costs more than it saves.  Measured on G(n, p) with n 10-26 and
-# on tree covers: the index overtook the pair loop between 40 and 70 entries.
-# The activity kernel runs on bit planes at every size: on the seed-0 bench
-# covers it took 67-72 us at k = 38 and 98-104 us at k = 52, where the
-# per-set pass it replaced took 82-85 and 139-150 us, and 21-39 us on the
-# search winners (k 8-14) against 7-19 us, one cover per 5.7 ms op.
+# Below this many entries the first-pair walk tests pairs directly: on an
+# overlapping cover it mostly stops in its first rows (1-25 us on G(n, p), n
+# 10-26), where building the pair index costs 2-5x that from the kernel's
+# planes, 10-35x from the masks.  A full walk (partition covers of pruned
+# hosts, k 16-160) is faster on the index from about k = 24 with planes, 44 without.
 _INDEX_MIN = 64
-# _BIT_DIGITS[b] maps each byte to the ASCII digit of its bit b; _DIGIT_BITS maps back.
+# _BIT_DIGITS[b] maps each byte to the ASCII digit of its bit b; graph._DIGIT_BITS maps back.
 _BIT_DIGITS = [bytes(48 + (x >> b & 1) for x in range(256)) for b in range(8)]
-_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _columns(rows: list[int], width: int) -> list[int]:
@@ -438,68 +437,7 @@ def _columns(rows: list[int], width: int) -> list[int]:
     ]
 
 
-class _PairScan:
-    """The intersecting pairs of a list of intervals, by rows over one index.
-
-    Every interval must be nonempty (lo <= hi).  Intervals i and j meet when
-    lo_i <= hi_j and lo_j <= hi_i.  From _INDEX_MIN entries up, two k-bit
-    index sets per vertex bit hold the entries whose upper endpoint has the
-    bit and those whose lower endpoint lacks it (_pair_index, from the
-    kernel's planes when given), and a row's partners are found by ANDs
-    over them (_partners).
-
-    Iterating yields every intersecting pair (i, j), i < j, in lexicographic
-    order; smallest_meet, given the first, finds the smallest meet lower end
-    on the same index.  The walk holds the masks and the index, not the
-    scan, so a dropped scan is freed at once, with no cycle for the garbage
-    collector.
-    """
-
-    __slots__ = ("masks", "index", "_pairs")
-
-    def __init__(self, masks: list[tuple[int, int]], planes: _Planes | None = None) -> None:
-        self.masks = masks
-        self.index = _pair_index(masks, planes) if len(masks) >= _INDEX_MIN else None
-        self._pairs = _pairs_in_order(masks, self.index)
-
-    def __iter__(self) -> _PairScan:
-        return self
-
-    def __next__(self) -> tuple[int, int]:
-        return next(self._pairs)
-
-    def smallest_meet(self, i: int, j: int) -> int:
-        """min(lo_a | lo_b) over the intersecting pairs (a, b), given the first pair (i, j).
-
-        Every meet lower end lo_a | lo_b is at least max(lo_a, lo_b), so
-        from the first pair's x on only pairs with both lower ends below x
-        can give a smaller one.  The rows run in ascending order of lower
-        end and stop at the first with lo_a >= x.  Each row's candidates are
-        one bit set: the entries with lower end below x, a prefix of that
-        order, less the rows already visited.  The entries before row i meet
-        no interval, since their rows had no partners.
-        """
-        masks = self.masks
-        x = masks[i][0] | masks[j][0]
-        rows = sorted((masks[a][0], a) for a in range(i, len(masks)) if masks[a][0] < x)
-        live, top = sum(1 << a for _, a in rows), len(rows)
-        for lo_a, a in rows:
-            if lo_a >= x:
-                break
-            live ^= 1 << a
-            for b in _bits(_partners(masks, self.index, a, live)):
-                meet = lo_a | masks[b - 1][0]
-                if meet < x:
-                    x = meet
-                    while top and rows[top - 1][0] >= x:  # cut the prefix to lower ends below x
-                        top -= 1
-                        live &= ~(1 << rows[top][1])
-        return x
-
-
-def _pair_index(
-    masks: list[tuple[int, int]], planes: _Planes | None = None
-) -> tuple[int, list[int], list[int]]:
+def _pair_index(masks: list[tuple[int, int]], planes: _Planes | None = None) -> _Index:
     """(span, upper_has, lower_lacks) of the intervals `masks`.
 
     span is the union of the upper ends; per vertex bit v - 1 of span,
@@ -517,23 +455,14 @@ def _pair_index(
     return span, uppers[:width], [every ^ p for p in lowers[:width]]
 
 
-def _partners(
-    masks: list[tuple[int, int]], index: tuple[int, list[int], list[int]] | None, i: int, cand: int
-) -> int:
-    """The entries of the bit set `cand` (bit j for entry j) whose intervals meet interval i.
+def _partners(index: _Index, interval: tuple[int, int], cand: int) -> int:
+    """The entries of the bit set `cand` (bit j for entry j) whose intervals meet `interval`.
 
-    With the index, what is left of cand after one AND per bit of lo_i and
-    per bit outside hi_i: about n big-int operations in place of k pair
-    tests.  Without it, below _INDEX_MIN entries, each pair is tested.
+    What is left of cand after one AND per bit of its lower end and per bit
+    of the index's span outside its upper end: about n big-int operations
+    in place of k pair tests.
     """
-    lo, hi = masks[i]
-    if index is None:
-        out = 0
-        for j in _bits(cand):
-            lo_j, hi_j = masks[j - 1]
-            if (lo | lo_j) & ~(hi & hi_j) == 0:
-                out |= 1 << (j - 1)
-        return out
+    lo, hi = interval
     span, upper_has, lower_lacks = index
     for v in _bits(lo):
         cand &= upper_has[v - 1]
@@ -542,15 +471,18 @@ def _partners(
     return cand
 
 
-def _pairs_in_order(
-    masks: list[tuple[int, int]], index: tuple[int, list[int], list[int]] | None
+def _overlapping_pairs(
+    masks: list[tuple[int, int]], planes: _Planes | None = None
 ) -> Iterator[tuple[int, int]]:
     """Every intersecting pair (i, j), i < j, in lexicographic order.
 
-    Without the index the pairs are tested directly, which is cheaper there.
+    Every interval must be nonempty (lo <= hi).  Intervals i and j meet when
+    lo_i <= hi_j and lo_j <= hi_i.  Below _INDEX_MIN entries each pair is
+    tested directly; from there on each row's partners come from the pair
+    index (_pair_index, from the kernel's planes when given).
     """
     k = len(masks)
-    if index is None:
+    if k < _INDEX_MIN:
         for i, (lo_i, hi_i) in enumerate(masks):
             for j in range(i + 1, k):
                 lo_j, hi_j = masks[j]
@@ -558,15 +490,39 @@ def _pairs_in_order(
                 if lo & ~hi_i == 0 and lo & ~hi_j == 0:
                     yield i, j
         return
-    every = (1 << k) - 1
+    index, every = _pair_index(masks, planes), (1 << k) - 1
     for i in range(k):
-        for j in _bits(_partners(masks, index, i, every >> (i + 1) << (i + 1))):
+        for j in _bits(_partners(index, masks[i], every >> (i + 1) << (i + 1))):
             yield i, j - 1
 
 
-def _overlapping_pairs(masks: list[tuple[int, int]], planes: _Planes | None = None) -> _PairScan:
-    """Every intersecting pair (i, j), i < j, in lexicographic order (_PairScan)."""
-    return _PairScan(masks, planes)
+def _smallest_meet(masks: list[tuple[int, int]], index: _Index, i: int, j: int) -> int:
+    """min(lo_a | lo_b) over the intersecting pairs (a, b), given the first pair (i, j).
+
+    Every meet lower end lo_a | lo_b is at least max(lo_a, lo_b), so from
+    the first pair's x on only pairs with both lower ends below x can give
+    a smaller one.  The rows run in ascending order of lower end and stop
+    at the first with lo_a >= x.  Each row's candidates are one bit set:
+    the entries with lower end below x, a prefix of that order, less the
+    rows already visited; the pair index of `masks` gives their partners.
+    The entries before row i meet no interval, since their rows had no
+    partners.
+    """
+    x = masks[i][0] | masks[j][0]
+    rows = sorted((masks[a][0], a) for a in range(i, len(masks)) if masks[a][0] < x)
+    live, top = sum(1 << a for _, a in rows), len(rows)
+    for lo_a, a in rows:
+        if lo_a >= x:
+            break
+        live ^= 1 << a
+        for b in _bits(_partners(index, masks[a], live)):
+            meet = lo_a | masks[b - 1][0]
+            if meet < x:
+                x = meet
+                while top and rows[top - 1][0] >= x:  # cut the prefix to lower ends below x
+                    top -= 1
+                    live &= ~(1 << rows[top][1])
+    return x
 
 
 def _check_oracle_bound(oracle_bound: int) -> None:
@@ -723,7 +679,7 @@ def partition_verdict(C: Cover, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> Par
     count.  No per-subset table is built; the bound only decides
     whether the exact count is reported.
 
-    Checks run in this order, over one pair scan:
+    Checks run in this order, over one pair walk (_overlapping_pairs):
       1. up to the bound, a subset in no interval raises "cover misses";
       2. the first overlapping pair must agree with the size sum;
       3. up to the bound, there must be an overlapping pair exactly when
@@ -731,50 +687,51 @@ def partition_verdict(C: Cover, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> Par
       4. a partition returns;
       5. the witness comes from the pairwise interval intersections (the
          meets): above the bound, the first pair's; up to it, the smallest
-         meet lower end, searched on the scan's index from the first pair's
-         down (_PairScan.smallest_meet), bounded by value.
+         meet lower end, searched from the first pair's down on the pair
+         index (_smallest_meet), bounded by value.  The walk and the index
+         read the kernel's planes when the cover keeps them.
     A disagreement between methods raises RuntimeError, since it would mean
     the cover violates the coverage guarantee it was built under.
     """
     masks = _interval_masks(C)
-    repeated, first, scan = _repeats(C.n, masks, oracle_bound, C._planes)
+    repeated, first = _repeats(C.n, masks, oracle_bound, C._planes)
     if first is None:
         return PartitionVerdict(True, 0, None)
     # Up to the bound, the smallest repeated subset.  Above it, the first overlapping pair's
     # meet, whose first two holders are that pair: any earlier one would make an earlier pair.
     i, j = first
-    x = masks[i][0] | masks[j][0] if repeated is None else scan.smallest_meet(i, j)
+    x = masks[i][0] | masks[j][0]
+    if repeated is not None:
+        x = _smallest_meet(masks, _pair_index(masks, C._planes), i, j)
     gens = _generators_containing(C, masks, x)
     return PartitionVerdict(False, repeated, RepeatWitness(set_of(x), gens[0], gens[1]))
 
 
 def _repeats(
     n: int, masks: list[tuple[int, int]], oracle_bound: int, planes: _Planes | None = None
-) -> tuple[int | None, tuple[int, int] | None, _PairScan]:
-    """partition_verdict without the witness: the repeat count, the first pair and the scan.
+) -> tuple[int | None, tuple[int, int] | None]:
+    """partition_verdict without the witness: the repeat count and the first pair.
 
     Runs every check of partition_verdict on the intervals `masks` of a cover
-    on n vertices, with one counting pass and the pair scan stopped at its
-    first overlapping pair.  A partition gives (0, None, scan).  Otherwise
-    the count, None above the bound, comes with the first overlapping pair
-    and the scan, whose index smallest_meet reuses to find the witness.
-    The scan's index reads the kernel's `planes` when given.
+    on n vertices, with one counting pass and the pair walk stopped at its
+    first overlapping pair, which reads the kernel's `planes` when given.
+    A partition gives (0, None).  Otherwise the count, None above the
+    bound, comes with the first overlapping pair.
     """
     full = (1 << n) - 1
     if n <= oracle_bound:
         covered, repeated = _cover_counts(full, masks)
         if missed := full + 1 - covered:
             raise RuntimeError(f"cover misses {missed} subsets; coverage violated")
-    scan = _overlapping_pairs(masks, planes)
-    first = next(scan, None)
+    first = next(_overlapping_pairs(masks, planes), None)
     size_sum = sum(1 << (hi.bit_count() - lo.bit_count()) for lo, hi in masks)
     if (first is None) != (size_sum == full + 1):
         raise RuntimeError("partition methods disagree on a covered lattice")
     if n <= oracle_bound and (first is None) != (repeated == 0):
         raise RuntimeError("partition methods disagree on a covered lattice")
     if first is None:
-        return 0, None, scan
-    return (repeated if n <= oracle_bound else None), first, scan
+        return 0, None
+    return (repeated if n <= oracle_bound else None), first
 
 
 def repeated_subsets_detail(

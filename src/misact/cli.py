@@ -116,7 +116,7 @@ def _cmd_complete_sets(args: argparse.Namespace) -> tuple[dict, int]:
         "complete": sorted(comp) if comp is not None else None,
         "obstructions": [
             {"kind": o.kind, "witnesses": [sorted(w) for w in o.witnesses]}
-            for o in _obstructions(G, c, verdict)
+            for o in _obstructions(c, verdict, comp)
         ],
         "is_partition": verdict.is_partition,
     }, 0

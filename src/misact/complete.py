@@ -123,13 +123,14 @@ def partition_obstructions(G: Graph) -> list[Obstruction]:
     mismatch would be a soundness bug, hence the hard error.
     """
     c = cover(G)
-    return _obstructions(G, c, partition_verdict(c))
+    return _obstructions(c, partition_verdict(c), find_complete(G))
 
 
-def _obstructions(G: Graph, C: Cover, verdict: PartitionVerdict) -> list[Obstruction]:
-    """partition_obstructions on G's cover C and its verdict."""
+def _obstructions(
+    C: Cover, verdict: PartitionVerdict, comp: frozenset[int] | None
+) -> list[Obstruction]:
+    """partition_obstructions on a graph's cover C, its verdict and its find_complete."""
     out: list[Obstruction] = []
-    comp = find_complete(G)
     if comp is not None and len(C.entries) >= 2:
         out.append(Obstruction("complete_set_exists", (comp,)))
     internals = _internally_complete(C)

@@ -21,7 +21,13 @@ from .activities import (
     int_active,
     partition_verdict,
 )
-from .complete import _internally_complete, _obstructions, externally_complete, internally_complete
+from .complete import (
+    _internally_complete,
+    _obstructions,
+    externally_complete,
+    find_complete,
+    internally_complete,
+)
 from .families import FAMILIES
 from .graph import (
     Graph,
@@ -212,7 +218,7 @@ def verify_all(G: Graph, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> list[Check
     )
 
     # _obstructions raises RuntimeError when an obstruction meets a partition verdict
-    obstructions = _obstructions(G, c, verdict)
+    obstructions = _obstructions(c, verdict, find_complete(G))
     out.append(
         CheckResult(
             "obstruction_consistency",

@@ -325,6 +325,17 @@ class TestGreedy:
             assert is_maximal_independent(g, greedy_maximal_independent_set(g, order))
 
 
+@pytest.mark.parametrize("width", [0, 1, 63, 64, 65, 40000])
+def test_set_of_is_the_bit_walk(width):
+    """set_of reads the binary digits in one pass; _bits clears one bit per step."""
+    rng = random.Random(width)
+    full = (1 << width) - 1
+    masks = {0, full, full >> 1, full & ~(full >> 1)}  # empty, full, all but the top, the top
+    masks |= {rng.getrandbits(width) & rng.getrandbits(width) for _ in range(20)}
+    for m in masks:
+        assert set_of(m) == frozenset(_bits(m))
+
+
 class TestRelabel:
     def test_overlap_to_partition(self):
         assert relabel(dense_five_overlapping(), OVERLAP_TO_PARTITION_PERM) == (

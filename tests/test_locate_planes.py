@@ -7,7 +7,7 @@ import pytest
 
 import misact.activities
 import misact.verify
-from misact import Cover, cover, random_graph, verify_all
+from misact import Cover, Graph, cover, random_graph, verify_all
 from misact.activities import ActivityReport, _locate_generator_mask
 from misact.graph import _bits, set_of
 from misact.verify import _first_bad_locate
@@ -43,6 +43,17 @@ class TestOneBitPlanes:
     def test_matches_the_loop_on_every_subset(self, g):
         for x in range(1 << g.n):
             assert _locate_generator_mask(g, x) == locate_mask(g, x)
+
+    def test_matches_the_loop_across_words(self):
+        """Masks packed through one binary string: graphs across the byte and
+        word boundaries, Graph(0) and edgeless graphs, some subsets each."""
+        rng = random.Random(SEED)
+        graphs = [Graph(0), Graph(1), Graph(64), Graph(200), Graph(70, [(3, 69)])]
+        graphs += [random_graph(n, rng.uniform(0.02, 0.3), rng=rng)
+                   for n in (7, 8, 9, 63, 64, 65, 130) for _ in range(3)]
+        for g in graphs:
+            for x in {0, g.full_mask, *(rng.getrandbits(g.n) for _ in range(8))}:
+                assert _locate_generator_mask(g, x) == locate_mask(g, x)
 
 
 @pytest.fixture(scope="module")

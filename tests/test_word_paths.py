@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+import misact.activities
 from misact import Cover, Graph, cover, partition_verdict, random_graph
 from misact.activities import (
     _INDEX_MIN,
@@ -129,12 +130,25 @@ def test_planes_are_the_transposed_interval_ends(covers):
         assert uppers == columns_bytes([hi for _, hi in masks], c.n)
 
 
-def test_index_from_planes_is_the_pair_index(covers):
+def test_index_from_planes_is_the_pair_index(covers, monkeypatch):
     for c in covers:
         masks = _interval_masks(c)
         index = _pair_index(masks, c._planes)
         assert index == _pair_index(masks) == pair_index_bytes(masks)
-        assert _overlapping_pairs(masks, c._planes).index == index
+    planes = []
+
+    def spy(masks, given=None):
+        planes.append(given)
+        return _pair_index(masks, given)
+
+    monkeypatch.setattr(misact.activities, "_pair_index", spy)
+    calls = set()
+    for c in covers:  # the walk and the witness search both read the cover's planes
+        planes.clear()
+        partition_verdict(c)
+        assert all(p is c._planes for p in planes)
+        calls.add(len(planes))
+    assert calls == {1, 2}
 
 
 def test_verdict_is_the_same_without_planes(covers):
