@@ -30,6 +30,7 @@ from .graph import (
     _canonical_order,
     _is_independent_mask,
     _mask_bytes,
+    _members,
     _mis_by_pivot,
     _mis_masks,
     _relabelled,
@@ -79,7 +80,7 @@ ACTIVITY_MODES = ("standard", "reversed")
 # The kernel's planes of a cover's interval ends, (lower, upper): bit j of
 # plane v - 1 says whether vertex v lies in the lower (upper) end of entry j.
 _Planes = tuple[list[int], list[int]]
-_Index = tuple[int, list[int], list[int]]  # the verdict's pair index (_pair_index)
+_Index = tuple[int, list[int], list[int]]  # the pair walk's index (_pair_index)
 
 
 def _independent_mask_checked(G: Graph, A: Iterable[int]) -> int:
@@ -272,7 +273,7 @@ def _member_tables(G: Graph, gens: list[int]) -> list[tuple[int, list[tuple[int,
     tables = []
     for m in gens:
         rows = []
-        for v in _bits(m):
+        for v in _members(m):
             if not adj[v]:
                 continue
             bit, private = 1 << (v - 1), 0
@@ -325,11 +326,11 @@ def _locate_planes(G: Graph, planes: list[int], full: int) -> list[int]:
     bit per subset.  Returns the planes B: bit x of B[v] says whether v
     lies in the generator located for x.  Index 0 of both is unused.
     """
-    adj = G.adj_mask
+    adj, up = G.adj_mask, _orientation(G)
     b = [0] * (G.n + 1)
     for v in G.vertices:  # members of x, ascending
         block = 0
-        for u in _bits(adj[v] & ((1 << (v - 1)) - 1)):
+        for u in _bits(adj[v] ^ up[v]):  # the neighbours below v
             block |= b[u]
         b[v] = planes[v] & ~block
     for v in reversed(G.vertices):  # non-members, descending
@@ -496,35 +497,6 @@ def _overlapping_pairs(
             yield i, j - 1
 
 
-def _smallest_meet(masks: list[tuple[int, int]], index: _Index, i: int, j: int) -> int:
-    """min(lo_a | lo_b) over the intersecting pairs (a, b), given the first pair (i, j).
-
-    Every meet lower end lo_a | lo_b is at least max(lo_a, lo_b), so from
-    the first pair's x on only pairs with both lower ends below x can give
-    a smaller one.  The rows run in ascending order of lower end and stop
-    at the first with lo_a >= x.  Each row's candidates are one bit set:
-    the entries with lower end below x, a prefix of that order, less the
-    rows already visited; the pair index of `masks` gives their partners.
-    The entries before row i meet no interval, since their rows had no
-    partners.
-    """
-    x = masks[i][0] | masks[j][0]
-    rows = sorted((masks[a][0], a) for a in range(i, len(masks)) if masks[a][0] < x)
-    live, top = sum(1 << a for _, a in rows), len(rows)
-    for lo_a, a in rows:
-        if lo_a >= x:
-            break
-        live ^= 1 << a
-        for b in _bits(_partners(index, masks[a], live)):
-            meet = lo_a | masks[b - 1][0]
-            if meet < x:
-                x = meet
-                while top and rows[top - 1][0] >= x:  # cut the prefix to lower ends below x
-                    top -= 1
-                    live &= ~(1 << rows[top][1])
-    return x
-
-
 def _check_oracle_bound(oracle_bound: int) -> None:
     if oracle_bound < 0:
         raise ValueError(f"oracle bound {oracle_bound} is below 0")
@@ -555,9 +527,10 @@ def _index_planes(width: int) -> tuple[int, ...]:
 _PLANE_MAX = 12
 
 
-def _cover_counts(free: int, cubes: list[tuple[int, int]]) -> tuple[int, int]:
-    """(covered, repeated): the subsets x of `free` with lo <= x <= hi for at
-    least one, and for at least two, of the cubes (lo, hi).
+def _cover_counts(free: int, cubes: list[tuple[int, int]]) -> tuple[int, int, int | None]:
+    """(covered, repeated, least): the subsets x of `free` with lo <= x <= hi
+    for at least one, and for at least two, of the cubes (lo, hi), and the
+    smallest of the latter as a bitmask (None when there is none).
 
     When `free` is the whole lattice of at most _PLANE_MAX bits, the count
     runs on lattice planes (_plane_counts); otherwise by Shannon expansion
@@ -568,19 +541,20 @@ def _cover_counts(free: int, cubes: list[tuple[int, int]]) -> tuple[int, int]:
     return _shannon_counts(free, cubes)
 
 
-def _plane_counts(free: int, cubes: list[tuple[int, int]]) -> tuple[int, int]:
+def _plane_counts(free: int, cubes: list[tuple[int, int]]) -> tuple[int, int, int | None]:
     """_cover_counts on lattice planes, one bit per subset, for free = 2^n - 1.
 
     Each cube's plane comes from _cube_plane, cached across calls.  `twice`
     gathers the subsets a cube shares with the earlier ones, `once` those of
-    any cube.  The planes take 2^n bits each, so this suits small n only.
+    any cube; the lowest bit of `twice` is the smallest repeated subset.  The
+    planes take 2^n bits each, so this suits small n only.
     """
     once = twice = 0
     for lo, hi in cubes:
         s = _cube_plane(lo & free, hi & free)
         twice |= once & s
         once |= s
-    return once.bit_count(), twice.bit_count()
+    return once.bit_count(), twice.bit_count(), (twice & -twice).bit_length() - 1 if twice else None
 
 
 @lru_cache(maxsize=1024)
@@ -607,7 +581,7 @@ def _spread(lo: int, hi: int, stride: int) -> int:
     return out
 
 
-def _shannon_counts(free: int, cubes: list[tuple[int, int]]) -> tuple[int, int]:
+def _shannon_counts(free: int, cubes: list[tuple[int, int]]) -> tuple[int, int, int | None]:
     """_cover_counts by one Shannon expansion, for any `free`.
 
     A branch splits on a bit its first cube fixes (in lo, or outside hi):
@@ -616,22 +590,28 @@ def _shannon_counts(free: int, cubes: list[tuple[int, int]]) -> tuple[int, int]:
     is covered twice over; where exactly one does, it is covered once, and
     the union of the other cubes is what it repeats, counted on as a plain
     union.  Two cubes or fewer are counted by inclusion-exclusion.  The
-    stack depth stays at most the popcount of free.
+    stack depth stays at most the popcount of free.  Each branch carries
+    `on`, its split bits set to 1: the smallest subset it holds of a cube
+    (lo, hi) is on | lo & free, and of the whole branch `on`.
     """
-    covered = repeated = 0
-    stack = [(free, cubes, True)]  # True: count both; False: the union into repeated
+    covered, repeated, least = 0, 0, free + 1  # least starts above every subset of free
+    stack = [(free, cubes, True, 0)]  # True: count both; False: the union into repeated
     while stack:
-        free, cubes, both = stack.pop()
+        free, cubes, both, on = stack.pop()
         if len(cubes) < 3:
             sizes = meet = 0
             for lo, hi in cubes:
                 sizes += 1 << (free & hi & ~lo).bit_count()
+                if not both and on | lo & free < least:
+                    least = on | lo & free
             if len(cubes) == 2:
                 (lo, hi), (lo_b, hi_b) = cubes
                 lo |= lo_b
                 hi &= hi_b
                 if not free & lo & ~hi:
                     meet = 1 << (free & hi & ~lo).bit_count()
+                    if both and on | lo & free < least:
+                        least = on | lo & free
             if both:
                 covered += sizes - meet
                 repeated += meet
@@ -644,16 +624,18 @@ def _shannon_counts(free: int, cubes: list[tuple[int, int]]) -> tuple[int, int]:
             size = 1 << free.bit_count()
             if not both or whole > 1:
                 repeated += size
+                if on < least:
+                    least = on
             if both:
                 covered += size
                 if whole == 1:
-                    stack.append((free, [c for c, f in zip(cubes, fixed) if f], False))
+                    stack.append((free, [c for c, f in zip(cubes, fixed) if f], False, on))
             continue
         bit = fixed[0] & -fixed[0]
         free ^= bit
-        stack.append((free, [c for c in cubes if not c[0] & bit], both))  # bit off
-        stack.append((free, [c for c in cubes if c[1] & bit], both))  # bit on
-    return covered, repeated
+        stack.append((free, [c for c in cubes if not c[0] & bit], both, on))  # bit off
+        stack.append((free, [c for c in cubes if c[1] & bit], both, on | bit))  # bit on
+    return covered, repeated, least if repeated else None
 
 
 def _generators_containing(
@@ -675,9 +657,9 @@ def partition_verdict(C: Cover, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> Par
     method counts exactly, in one pass of _cover_counts (on lattice planes up
     to _PLANE_MAX vertices, by Shannon expansion above) that tracks the
     subsets lying in at least one interval and in at least two: the first
-    count must be all 2^n subsets, and the second is the reported repeat
-    count.  No per-subset table is built; the bound only decides
-    whether the exact count is reported.
+    count must be all 2^n subsets, the second is the reported repeat count,
+    and the smallest repeated subset is the witness.  No per-subset table is
+    built; the bound only decides whether the exact count is reported.
 
     Checks run in this order, over one pair walk (_overlapping_pairs):
       1. up to the bound, a subset in no interval raises "cover misses";
@@ -685,42 +667,38 @@ def partition_verdict(C: Cover, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> Par
       3. up to the bound, there must be an overlapping pair exactly when
          the repeat count is nonzero;
       4. a partition returns;
-      5. the witness comes from the pairwise interval intersections (the
-         meets): above the bound, the first pair's; up to it, the smallest
-         meet lower end, searched from the first pair's down on the pair
-         index (_smallest_meet), bounded by value.  The walk and the index
-         read the kernel's planes when the cover keeps them.
+      5. the witness, a repeated subset, must lie in two intervals: up to
+         the bound, the smallest, which the counting pass names; above it,
+         the first overlapping pair's meet lower end.
     A disagreement between methods raises RuntimeError, since it would mean
     the cover violates the coverage guarantee it was built under.
     """
     masks = _interval_masks(C)
-    repeated, first = _repeats(C.n, masks, oracle_bound, C._planes)
-    if first is None:
+    repeated, x = _repeats(C.n, masks, oracle_bound, C._planes)
+    if x is None:
         return PartitionVerdict(True, 0, None)
-    # Up to the bound, the smallest repeated subset.  Above it, the first overlapping pair's
-    # meet, whose first two holders are that pair: any earlier one would make an earlier pair.
-    i, j = first
-    x = masks[i][0] | masks[j][0]
-    if repeated is not None:
-        x = _smallest_meet(masks, _pair_index(masks, C._planes), i, j)
     gens = _generators_containing(C, masks, x)
+    if len(gens) < 2:
+        raise RuntimeError("partition methods disagree on a covered lattice")
     return PartitionVerdict(False, repeated, RepeatWitness(set_of(x), gens[0], gens[1]))
 
 
 def _repeats(
     n: int, masks: list[tuple[int, int]], oracle_bound: int, planes: _Planes | None = None
-) -> tuple[int | None, tuple[int, int] | None]:
-    """partition_verdict without the witness: the repeat count and the first pair.
+) -> tuple[int | None, int | None]:
+    """partition_verdict without the witness's generators: the repeat count and a repeated subset.
 
-    Runs every check of partition_verdict on the intervals `masks` of a cover
+    Runs checks 1-4 of partition_verdict on the intervals `masks` of a cover
     on n vertices, with one counting pass and the pair walk stopped at its
     first overlapping pair, which reads the kernel's `planes` when given.
-    A partition gives (0, None).  Otherwise the count, None above the
-    bound, comes with the first overlapping pair.
+    A partition gives (0, None).  Up to the bound, the count comes with the
+    smallest repeated subset, from the same pass.  Above it, None comes
+    with the first pair's meet lower end, whose first two holders are that
+    pair: any earlier one would make an earlier pair.
     """
     full = (1 << n) - 1
     if n <= oracle_bound:
-        covered, repeated = _cover_counts(full, masks)
+        covered, repeated, least = _cover_counts(full, masks)
         if missed := full + 1 - covered:
             raise RuntimeError(f"cover misses {missed} subsets; coverage violated")
     first = next(_overlapping_pairs(masks, planes), None)
@@ -731,7 +709,9 @@ def _repeats(
         raise RuntimeError("partition methods disagree on a covered lattice")
     if first is None:
         return 0, None
-    return (repeated if n <= oracle_bound else None), first
+    if n <= oracle_bound:
+        return repeated, least
+    return None, masks[first[0]][0] | masks[first[1]][0]
 
 
 def repeated_subsets_detail(

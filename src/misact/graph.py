@@ -40,7 +40,10 @@ def mask_of(vertices: Iterable[int]) -> int:
     labels = set(vertices)
     if bad := sorted(v for v in labels if v < 1):
         raise ValueError(f"labels {bad} below 1")
-    return sum(1 << (v - 1) for v in labels)
+    digits = bytearray(b"0" * max(labels, default=0))  # highest label first, read in one pass
+    for v in labels:
+        digits[-v] = 49  # "1"
+    return int(digits or b"0", 2)
 
 
 # Maps the ASCII digits "0" and "1" to the bytes 0 and 1.
@@ -48,9 +51,16 @@ _DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def set_of(mask: int) -> frozenset[int]:
-    """Unpack a bitmask into a frozenset of 1-based labels."""
-    # One pass over the binary digits, lowest first, in C: each _bits step copies the whole int.
-    return frozenset(compress(count(1), bin(mask)[:1:-1].encode().translate(_DIGIT_BITS)))
+    """Unpack a bitmask into a frozenset of 1-based labels; a negative mask raises ValueError."""
+    if mask < 0:
+        raise ValueError(f"mask {mask} is negative")
+    return frozenset(_members(mask))
+
+
+def _members(mask: int) -> Iterator[int]:
+    """The labels of a mask of at least 0, ascending: one pass over its binary digits in C,
+    where each _bits step copies the whole int, so _bits suits only narrow masks."""
+    return compress(count(1), bin(mask)[:1:-1].encode().translate(_DIGIT_BITS))
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -187,18 +197,12 @@ def induced_subgraph(G: Graph, S: Iterable[int]) -> tuple[Graph, dict[int, int]]
 
 
 def _is_independent_mask(G: Graph, m: int) -> bool:
-    rest = m
-    while rest:
-        b = rest & -rest
-        if G.adj_mask[b.bit_length()] & m:
-            return False
-        rest ^= b
-    return True
+    return not _open_mask(G, m) & m
 
 
 def _open_mask(G: Graph, m: int) -> int:
     out = 0
-    for v in _bits(m):
+    for v in _members(m):
         out |= G.adj_mask[v]
     return out
 
@@ -224,7 +228,8 @@ def is_maximal_independent(G: Graph, S: Iterable[int]) -> bool:
 
 
 def _is_maximal_independent_mask(G: Graph, m: int) -> bool:
-    return _is_independent_mask(G, m) and (m | _open_mask(G, m)) == G.full_mask
+    out = _open_mask(G, m)
+    return not out & m and m | out == G.full_mask
 
 
 def _mis_by_pivot(G: Graph) -> Iterator[int]:

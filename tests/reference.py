@@ -229,7 +229,7 @@ def partition_verdict_resumed(C, oracle_bound: int = 25) -> PartitionVerdict:
     masks = [(e.lower_mask, e.upper_mask) for e in C.entries]
     full = (1 << C.n) - 1
     if C.n <= oracle_bound:
-        covered, repeated = _cover_counts(full, masks)
+        covered, repeated, _ = _cover_counts(full, masks)  # its own scan names the witness
         if missed := full + 1 - covered:
             raise RuntimeError(f"cover misses {missed} subsets; coverage violated")
     pairs = iter(_overlapping_pairs(masks))
@@ -402,11 +402,12 @@ def mis_by_pivot_stack(G: Graph):
             p, x = p ^ bit, x | bit
 
 
-def plane_counts_and(free: int, cubes) -> tuple[int, int]:
+def plane_counts_and(free: int, cubes) -> tuple[int, int, int | None]:
     """_plane_counts with each cube's plane an AND of index planes, for free = 2^n - 1.
 
     A cube's subsets are the AND of the index planes of its lo bits and the
-    complements of those outside hi.
+    complements of those outside hi.  The smallest repeated subset is the
+    lowest bit of `twice`, None when it is 0.
     """
     n = free.bit_length()
     planes = _index_planes(n)
@@ -427,7 +428,8 @@ def plane_counts_and(free: int, cubes) -> tuple[int, int]:
             m ^= bit
         twice |= once & s
         once |= s
-    return once.bit_count(), twice.bit_count()
+    least = next((x for x in range(1 << n) if twice >> x & 1), None)
+    return once.bit_count(), twice.bit_count(), least
 
 
 def _mask_bits(mask: int):

@@ -23,7 +23,7 @@ from misact import (
     random_graph,
     relabel,
 )
-from misact.graph import _bits, _canonical_order, _mis_by_pivot, _mis_masks, set_of
+from misact.graph import _bits, _canonical_order, _mis_by_pivot, _mis_masks, mask_of, set_of
 
 from reference import brute_mis
 from sample_graphs import (
@@ -327,13 +327,21 @@ class TestGreedy:
 
 @pytest.mark.parametrize("width", [0, 1, 63, 64, 65, 40000])
 def test_set_of_is_the_bit_walk(width):
-    """set_of reads the binary digits in one pass; _bits clears one bit per step."""
+    """set_of reads the binary digits in one pass; _bits clears one bit per step.
+    mask_of packs the labels back in one pass too."""
     rng = random.Random(width)
     full = (1 << width) - 1
     masks = {0, full, full >> 1, full & ~(full >> 1)}  # empty, full, all but the top, the top
     masks |= {rng.getrandbits(width) & rng.getrandbits(width) for _ in range(20)}
     for m in masks:
         assert set_of(m) == frozenset(_bits(m))
+        assert mask_of(set_of(m)) == m
+
+
+@pytest.mark.parametrize("mask", [-1, -5, -(1 << 70)])
+def test_set_of_refuses_a_negative_mask(mask):
+    with pytest.raises(ValueError, match=f"^mask {mask} is negative$"):
+        set_of(mask)
 
 
 class TestRelabel:

@@ -1,18 +1,10 @@
-"""The indexed pairwise interval scan against a plain double loop."""
+"""The indexed pairwise interval scan against a plain double loop, and the
+counter's smallest repeated subset against the meets of the pairs it finds."""
 
 import random
 
-import misact.activities
 from misact import cover, random_graph
-from misact.activities import (
-    _INDEX_MIN,
-    _interval_masks,
-    _overlapping_pairs,
-    _pair_index,
-    _partners,
-    _smallest_meet,
-)
-from misact.graph import _bits
+from misact.activities import _INDEX_MIN, _cover_counts, _interval_masks, _overlapping_pairs
 from misact.pruned import random_pruned_instance
 
 
@@ -66,7 +58,8 @@ class TestRandomIntervals:
             assert first_overlap(masks) == first_pair(masks)
             assert list(_overlapping_pairs(masks)) == list(all_pairs(masks))
 
-    def test_smallest_meet_matches_every_pair(self):
+    def test_counter_least_is_the_smallest_meet(self):
+        """The counter's smallest repeated subset is min(lo_i | lo_j) over the meeting pairs."""
         rng = random.Random(34)
         found = 0
         for _ in range(400):
@@ -74,52 +67,19 @@ class TestRandomIntervals:
             n = rng.randint(1, 18)
             masks = random_intervals(rng, k, n, rng.choice((0.2, 0.5, 0.8)))
             masks += rng.sample(masks, min(k, rng.randint(0, 3)))  # repeats: equal lower ends
-            first = first_overlap(masks)
-            if first is not None:
-                found += 1
-                assert _smallest_meet(masks, _pair_index(masks), *first) == min(
-                    masks[i][0] | masks[j][0] for i, j in all_pairs(masks))
+            meets = [masks[i][0] | masks[j][0] for i, j in all_pairs(masks)]
+            assert _cover_counts((1 << n) - 1, masks)[2] == min(meets, default=None)
+            found += bool(meets)
         assert found > 300
-        # covers on both sides of _INDEX_MIN, their index built from the kernel's planes
+        # covers on both sides of _INDEX_MIN
         sizes = []
         for n in range(6, 19):
             for p in (0.2, 0.35, 0.5):
-                c = cover(random_graph(n, p, rng=rng))
-                masks = _interval_masks(c)
-                if (first := first_overlap(masks)) is not None:
+                masks = _interval_masks(cover(random_graph(n, p, rng=rng)))
+                if meets := [masks[i][0] | masks[j][0] for i, j in all_pairs(masks)]:
                     sizes.append(len(masks))
-                    assert _smallest_meet(masks, _pair_index(masks, c._planes), *first) == min(
-                        masks[i][0] | masks[j][0] for i, j in all_pairs(masks))
+                    assert _cover_counts((1 << n) - 1, masks)[2] == min(meets)
         assert min(sizes) < _INDEX_MIN <= max(sizes)
-
-    def test_smallest_meet_offers_only_lower_ends_below_the_best(self, monkeypatch):
-        """Each row's candidates have lower ends below the smallest meet found
-        so far; an entry whose lower end equals it can give no smaller meet."""
-        calls = []
-
-        def spy(index, interval, cand):
-            out = _partners(index, interval, cand)
-            calls.append((interval[0], cand, out))
-            return out
-
-        monkeypatch.setattr(misact.activities, "_partners", spy)
-        rng = random.Random(35)
-        offered = 0
-        for _ in range(300):
-            k = rng.choice((rng.randint(3, _INDEX_MIN), rng.randint(_INDEX_MIN, 200)))
-            masks = random_intervals(rng, k, rng.randint(1, 18), rng.choice((0.2, 0.5, 0.8)))
-            masks += rng.sample(masks, min(k, rng.randint(0, 3)))
-            if (first := first_overlap(masks)) is None:
-                continue
-            calls.clear()
-            got = _smallest_meet(masks, _pair_index(masks), *first)
-            x = masks[first[0]][0] | masks[first[1]][0]
-            for lo_a, cand, out in calls:
-                assert all(masks[b - 1][0] < x for b in _bits(cand))
-                offered += cand.bit_count()
-                x = min([x] + [lo_a | masks[b - 1][0] for b in _bits(out)])
-            assert x == got
-        assert offered > 1000
 
 
 class TestCovers:

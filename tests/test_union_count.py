@@ -39,13 +39,14 @@ def brute_union_size(n: int, cubes: list[tuple[int, int]]) -> int:
     )
 
 
-def brute_repeated_size(n: int, cubes: list[tuple[int, int]]) -> int:
-    """Number of subsets of the n bits lying in two or more of the cubes."""
-    return sum(
-        1
+def brute_repeats(n: int, cubes: list[tuple[int, int]]) -> tuple[int, int | None]:
+    """Number of subsets of the n bits lying in two or more of the cubes, and the smallest."""
+    repeated = [
+        x
         for x in range(1 << n)
         if sum(1 for lo, hi in cubes if lo & ~x == 0 and x & ~hi == 0) >= 2
-    )
+    ]
+    return len(repeated), min(repeated, default=None)
 
 
 def random_cube(rng: random.Random, n: int) -> tuple[int, int]:
@@ -60,20 +61,23 @@ class TestCoverCounts:
 
     def test_edge_cases(self):
         count = self.count
-        assert count(0, []) == (0, 0)
-        assert count(0, [(0, 0)]) == (1, 0)  # n = 0: the one empty subset
-        assert count(0, [(0, 0)] * 2) == (1, 1)
-        assert count(0b1111, []) == (0, 0)
-        assert count(0b1111, [(0, 0b1111)]) == (16, 0)  # the full cube
-        assert count(0b1111, [(0, 0b1111)] * 2) == (16, 16)  # two full cubes
-        assert count(0b1111, [(0b0101, 0b0101)]) == (1, 0)  # a single point
-        assert count(0b1111, [(0b0001, 0b1111), (0, 0b1111)]) == (16, 8)
-        assert count(0b111, [(0b001, 0b011)] * 3) == (2, 2)  # repeats count once
+        assert count(0, []) == (0, 0, None)
+        assert count(0, [(0, 0)]) == (1, 0, None)  # n = 0: the one empty subset
+        assert count(0, [(0, 0)] * 2) == (1, 1, 0)
+        assert count(0b1111, []) == (0, 0, None)
+        assert count(0b1111, [(0, 0b1111)]) == (16, 0, None)  # the full cube
+        assert count(0b1111, [(0, 0b1111)] * 2) == (16, 16, 0)  # two full cubes
+        assert count(0b1111, [(0, 0b1111)] * 3) == (16, 16, 0)  # covered twice over
+        assert count(0b1111, [(0b0101, 0b0101)]) == (1, 0, None)  # a single point
+        assert count(0b1111, [(0b0001, 0b1111), (0, 0b1111)]) == (16, 8, 0b0001)
+        assert count(0b111, [(0b001, 0b011)] * 3) == (2, 2, 0b001)  # repeats count once
         # a duplicated cube counts as repeated; the cube on bit 3 is disjoint from it
         dup = (0b0001, 0b0111)
-        assert count(0b1111, [dup, (0b1000, 0b1111), dup]) == (12, 4)
+        assert count(0b1111, [dup, (0b1000, 0b1111), dup]) == (12, 4, 0b0001)
         # one whole cube: it repeats the union of the other two, which are disjoint
-        assert count(0b1111, [(0, 0b1111), (0b0001, 0b0011), (0b0100, 0b1100)]) == (16, 4)
+        assert count(0b1111, [(0, 0b1111), (0b0001, 0b0011), (0b0100, 0b1100)]) == (16, 4, 0b0001)
+        # ... and the smallest subset of that union comes from its second cube
+        assert count(0b1111, [(0, 0b1111), (0b0110, 0b0111), (0b0100, 0b1100)]) == (16, 4, 0b0100)
 
     def test_matches_brute_force_on_random_cubes(self):
         count = self.count
@@ -81,9 +85,9 @@ class TestCoverCounts:
         for _ in range(400):
             n = rng.randint(0, 9)
             cubes = [random_cube(rng, n) for _ in range(rng.randint(0, 14))]
-            covered, repeated = count((1 << n) - 1, cubes)
+            covered, repeated, least = count((1 << n) - 1, cubes)
             assert covered == brute_union_size(n, cubes)
-            assert repeated == brute_repeated_size(n, cubes)
+            assert (repeated, least) == brute_repeats(n, cubes)
 
     def test_many_small_cubes(self):
         count = self.count
@@ -96,18 +100,18 @@ class TestCoverCounts:
             for b in rng.sample(range(n), rng.randint(2, 4)):
                 free |= 1 << b
             cubes.append((lo & ~free, lo | free))
-        covered, repeated = count((1 << n) - 1, cubes)
+        covered, repeated, least = count((1 << n) - 1, cubes)
         assert covered == brute_union_size(n, cubes)
-        assert repeated == brute_repeated_size(n, cubes)
+        assert (repeated, least) == brute_repeats(n, cubes)
 
     def test_either_side_of_the_plane_crossover(self):
         rng = random.Random(14)
         for n in (_PLANE_MAX, _PLANE_MAX + 1):
             for _ in range(6):
                 cubes = [random_cube(rng, n) for _ in range(rng.randint(1, 24))]
-                covered, repeated = self.count((1 << n) - 1, cubes)
+                covered, repeated, least = self.count((1 << n) - 1, cubes)
                 assert covered == brute_union_size(n, cubes)
-                assert repeated == brute_repeated_size(n, cubes)
+                assert (repeated, least) == brute_repeats(n, cubes)
 
 
 class TestPlaneCounts(TestCoverCounts):
@@ -132,16 +136,21 @@ def test_counter_picks_its_core(monkeypatch):
 
 
 def test_counts_on_the_bits_of_free():
-    """Only the subsets of `free` count, and the cubes are read on its bits alone."""
+    """Only the subsets of `free` count, and the cubes are read on its bits alone;
+    the smallest repeated subset is a subset of free too."""
     rng = random.Random(15)
     for _ in range(200):
         n = rng.randint(1, 9)
         free = rng.getrandbits(n)
         cubes = [random_cube(rng, n) for _ in range(rng.randint(0, 10))]
+        subsets = [x for x in range(1 << n) if x & ~free == 0]
         held = [sum(1 for lo, hi in cubes if lo & free & ~x == 0 and x & ~hi == 0)
-                for x in range(1 << n) if x & ~free == 0]
-        expected = (len(held) - held.count(0), sum(1 for h in held if h >= 2))
+                for x in subsets]
+        repeated = [x for x, h in zip(subsets, held) if h >= 2]
+        expected = (len(held) - held.count(0), len(repeated), min(repeated, default=None))
         assert _cover_counts(free, cubes) == expected
+        if free & (free + 1):  # not a whole lattice: the Shannon core
+            assert _shannon_counts(free, cubes) == expected
 
 
 def histogram_verdict(C):

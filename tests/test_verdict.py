@@ -222,7 +222,7 @@ class TestFaults:
         count = misact.activities._cover_counts
 
         def broken(free, cubes):
-            return count(free, cubes)[0], repeated
+            return count(free, cubes)[0], repeated, 0 if repeated else None
 
         monkeypatch.setattr(misact.activities, "_cover_counts", broken)
         c = cover(build())
@@ -231,6 +231,17 @@ class TestFaults:
             partition_verdict(c)
         with pytest.raises(RuntimeError, match=message):
             _repeats(c.n, _interval_masks(c), 25)
+
+    def test_counter_naming_a_subset_of_one_interval(self, monkeypatch):
+        """A smallest repeated subset that only one interval holds is a disagreement,
+        not an IndexError: the verdict checks its witness's generators."""
+        count = misact.activities._cover_counts
+        c = cover(dense_five_overlapping())
+        single = next(x for x, held in enumerate(subset_histogram(c)) if held == 1)
+        monkeypatch.setattr(misact.activities, "_cover_counts",
+                            lambda free, cubes: (*count(free, cubes)[:2], single))
+        with pytest.raises(RuntimeError, match="^partition methods disagree on a covered lattice$"):
+            partition_verdict(c)
 
     def test_above_the_bound(self, monkeypatch):
         def refuse(free, cubes):
@@ -271,7 +282,7 @@ def witness_covers(seed, count):
 
 
 class TestWitnessAgainstResumedScan:
-    """The witness search bounded by value against the scan resumed over every pair."""
+    """The counter's smallest repeated subset against the scan resumed over every pair."""
 
     @staticmethod
     def outcome(verdict_fn, c, bound):
