@@ -27,7 +27,6 @@ from .graph import (
     _DIGIT_BITS,
     _WORD_BITS,
     _bits,
-    _canonical_order,
     _is_independent_mask,
     _mask_bytes,
     _members,
@@ -307,16 +306,13 @@ def _trial_masks(
     return masks
 
 
-def _cover_of(G: Graph, gens: list[int]) -> Cover:
+def cover(G: Graph) -> Cover:
+    """Interval cover generated by all maximal independent sets, canonical order."""
+    gens = _mis_masks(G)
     ints, exts, planes = _activity_planes(G, gens, _orientation(G))
     c = Cover(n=G.n, entries=tuple(map(ActivityReport, gens, ints, exts)))
     object.__setattr__(c, "_planes", planes)  # the frozen Cover's one field outside __init__
     return c
-
-
-def cover(G: Graph) -> Cover:
-    """Interval cover generated by all maximal independent sets, canonical order."""
-    return _cover_of(G, _mis_masks(G))
 
 
 def _locate_planes(G: Graph, planes: list[int], full: int) -> list[int]:
@@ -785,7 +781,7 @@ def search_labelling(
     does not depend on vertex names or entry order.  Its lattice-plane count
     takes each cube's plane from a cache of split products (_cube_plane),
     since most cubes recur from trial to trial.  Only the winning labelling
-    is relabelled, sorted and given its witness.
+    is given its witness: its cover comes from cover() on the relabelled graph.
     """
     if budget is not None and budget <= 0:
         raise ValueError("budget must be positive")
@@ -825,10 +821,7 @@ def search_labelling(
 
     assert best is not None
     best_perm = best[1]
-    image = [0, *(1 << (p - 1) for p in best_perm)]
-    get = image.__getitem__
-    renamed = [sum(map(get, _bits(m))) for m in gens]
-    verdict = partition_verdict(_cover_of(_relabelled(G, image), _canonical_order(renamed, G.n)))
+    verdict = partition_verdict(cover(_relabelled(G, [0, *(1 << (p - 1) for p in best_perm)])))
     return LabellingSearchResult(
         permutation=best_perm,
         verdict=verdict,

@@ -294,19 +294,11 @@ def _words(data: bytes | bytearray) -> list[int]:
     return words.tolist()
 
 
-def _bit_reversed(words: Iterable[int]) -> list[int]:
-    """Each 64-bit word with its bits in reverse order, the list reversed too."""
-    return _words(_mask_bytes(words, 64)[0].translate(_REV)[::-1])
-
-
 def _canonical_order(masks: Iterable[int], n: int) -> list[int]:
     """An antichain of masks on n vertices, sorted by their sorted member lists."""
     # No member list of an antichain is a prefix of another, so the set holding the lowest vertex
-    # of the symmetric difference comes first: descending order of the bit-reversed masks.  Up to
-    # a word, they are sorted as ints, and reversing the sorted words puts them back, descending;
-    # wider masks are keyed by their little-endian bytes with each byte's bits reversed.
-    if n <= _WORD_BITS:
-        return _bit_reversed(sorted(_bit_reversed(masks)))
+    # of the symmetric difference comes first: descending order of the bit-reversed masks, keyed
+    # by their little-endian bytes with each byte's bits reversed.
     size = (n + 7) // 8
     return sorted(masks, key=lambda m: m.to_bytes(size, "little").translate(_REV), reverse=True)
 

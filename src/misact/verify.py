@@ -62,13 +62,12 @@ def _first_bad_locate(G: Graph, C: Cover) -> int | None:
     lo <= x <= hi is the AND of two planes, one per half of the window,
     each built once and shared by the entries with the same bits of lo and
     hi there (_part_planes); above it, one scalar test per chunk and per
-    group of entries with the same bits of lo and hi.  When A is a maximal
-    independent set, B(x) = A exactly when B(x) holds A and is
-    independent, since an independent superset of a maximal independent
-    set is that set: the AND of the B planes of A, outside the conflict
-    plane, the OR of B_u & B_v over the edges uv.  Any other A keeps the
-    exact test: the AND of its B planes, less the OR of the others.  The
-    bad subsets are those no entry holds.
+    entry.  When A is a maximal independent set, B(x) = A exactly when
+    B(x) holds A and is independent, since an independent superset of a
+    maximal independent set is that set: the AND of the B planes of A,
+    outside the conflict plane, the OR of B_u & B_v over the edges uv.  Any
+    other A keeps the exact test: the AND of its B planes, less the OR of
+    the others.  The bad subsets are those no entry holds.
     """
     n = G.n
     width = min(n, _CHUNK_BITS)
@@ -77,20 +76,20 @@ def _first_bad_locate(G: Graph, C: Cover) -> int | None:
     low = _index_planes(width)
     masks = _interval_masks(C)
     half = (1 << (width + 1) // 2) - 1
-    groups: dict[tuple[int, int], list] = {}  # by the bits above the window of lo, and outside hi
+    entries = []
     for e, (lo, hi), low_half, high_half in zip(
         C.entries, masks, _part_planes(low, full, half, masks),
         _part_planes(low, full, window ^ half, masks),
     ):
         m = e.mis_mask
         others = None if _is_maximal_independent_mask(G, m) else [*_bits(G.full_mask & ~m)]
-        key = (lo & ~window, G.full_mask & ~(hi | window))
-        groups.setdefault(key, []).append((low_half, high_half, [*_bits(m)], others))
+        entries.append((lo & ~window, G.full_mask & ~(hi | window), low_half, high_half,
+                        [*_bits(m)], others))
     # each vertex u with its neighbours above u: every edge uv once
     later = [(u, vs) for u in G.vertices if (vs := [*_bits(G.adj_mask[u] >> u << u)])]
     for base in range(0, 1 << n, 1 << width):
         planes = [0, *low, *(full if base >> i & 1 else 0 for i in range(width, n))]
-        bad = full ^ _held(_locate_planes(G, planes, full), groups, later, base)
+        bad = full ^ _held(_locate_planes(G, planes, full), entries, later, base)
         if bad:
             return base + (bad & -bad).bit_length() - 1
     return None
@@ -121,31 +120,28 @@ def _part_planes(
     return out
 
 
-def _held(
-    b: list[int], groups: dict[tuple[int, int], list], later: list[tuple[int, list[int]]], base: int
-) -> int:
+def _held(b: list[int], entries: list[tuple], later: list[tuple[int, list[int]]], base: int) -> int:
     """The subsets of the chunk at `base` that their located generator's entry holds.
 
-    `b` holds the chunk's B planes; `groups` the entries by (bits of lo
-    above the window, bits above it outside hi), each entry as (its planes
-    on the window's two halves, members, non-members or None); `later` each
-    vertex u with its neighbours above u, if any.
+    `b` holds the chunk's B planes; `entries` each entry as (bits of lo
+    above the window, bits above it outside hi, its planes on the window's
+    two halves, members, non-members or None); `later` each vertex u with
+    its neighbours above u, if any.
     """
     good = exact = 0
-    for (lo_high, out_high), group in groups.items():
+    for lo_high, out_high, low_half, high_half, members, others in entries:
         if lo_high & ~base or base & out_high:
             continue
-        for low_half, high_half, members, others in group:
-            on = low_half & high_half
-            for v in members:
-                on &= b[v]
-            if others is None:
-                good |= on
-            elif on:
-                off = 0
-                for v in others:
-                    off |= b[v]
-                exact |= on & ~off
+        on = low_half & high_half
+        for v in members:
+            on &= b[v]
+        if others is None:
+            good |= on
+        elif on:
+            off = 0
+            for v in others:
+                off |= b[v]
+            exact |= on & ~off
     conflict = 0
     for u, vs in later:
         near = 0

@@ -129,6 +129,38 @@ def test_broken_covers_match_the_reference(monkeypatch, chunk_bits):
     assert len(kinds) == 4 and min(kinds.values()) > 40
 
 
+def narrowed_covers(c, i):
+    """(kind, cover): the cover c with entry i's highest internally active
+    member moved into its lower end, and with its highest externally active
+    vertex dropped from its upper end, where the entry has one."""
+    e = c.entries[i]
+
+    def replaced(int_mask, ext_mask):
+        return Cover(c.n, c.entries[:i] + (ActivityReport(e.mis_mask, int_mask, ext_mask),)
+                     + c.entries[i + 1:])
+
+    def top(m):
+        return 1 << m.bit_length() - 1
+
+    if e.int_mask:
+        yield "lower end raised", replaced(e.int_mask ^ top(e.int_mask), e.ext_mask)
+    if e.ext_mask:
+        yield "upper end lowered", replaced(e.int_mask, e.ext_mask ^ top(e.ext_mask))
+
+
+def test_covers_narrowed_above_the_window_match_the_reference(monkeypatch):
+    """With 3-bit chunks the highest active vertices mostly lie above the
+    window, where one scalar test per chunk and entry reads lo and hi."""
+    monkeypatch.setattr(misact.verify, "_CHUNK_BITS", 3)
+    kinds = {}
+    for i, g in enumerate(all_named_graphs() + seeded_graphs(80, 12)):
+        c = cover(g)
+        for kind, narrowed in narrowed_covers(c, i % len(c.entries)):
+            kinds[kind] = kinds.get(kind, 0) + 1
+            assert _first_bad_locate(g, narrowed) == first_bad_locate(g, narrowed)
+    assert len(kinds) == 2 and min(kinds.values()) > 40
+
+
 def ascending_twice(G, planes, full):
     """_locate_planes with its second pass run ascending, as the first."""
     b = [0] * (G.n + 1)

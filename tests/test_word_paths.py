@@ -1,9 +1,10 @@
 """Masks of up to 64 bits as machine words, each word path against the byte path it replaced.
 
 The references in tests/reference.py lay every mask out by int.to_bytes: the
-transpose (_columns), the canonical sort, the cover report's entries and
-the verdict's pair index, which a cover built on the bit-plane kernel now
-reads from the kernel's planes.
+transpose (_columns), the cover report's entries and the verdict's pair
+index, which a cover built on the bit-plane kernel now reads from the
+kernel's planes.  The canonical sort keys by bytes at every n, as its
+reference does, and is checked here across the word boundary.
 """
 
 import dataclasses
