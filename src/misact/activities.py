@@ -73,6 +73,9 @@ DEFAULT_ORACLE_BOUND = 25
 MAX_ORACLE_BOUND = 30
 # Exhaustive labelling search walks at most this many vertices' n! permutations.
 FACTORIAL_BOUND = 9
+# A labelling search keeps the repeat counts of at most this many distinct
+# edge orientations, up to about 1 KB each (n = 24); later ones are counted anew.
+_ORIENTATIONS_KEPT = 4096
 
 ACTIVITY_MODES = ("standard", "reversed")
 
@@ -276,7 +279,7 @@ def _member_tables(G: Graph, gens: list[int]) -> list[tuple[int, list[tuple[int,
             if not adj[v]:
                 continue
             bit, private = 1 << (v - 1), 0
-            for u in _bits(adj[v]):
+            for u in _members(adj[v]):
                 if adj[u] & m == bit:
                     private |= 1 << (u - 1)
             rows.append((v, bit, private))
@@ -780,8 +783,12 @@ def search_labelling(
     check of the verdict on the original masks (_repeats): the repeat count
     does not depend on vertex names or entry order.  Its lattice-plane count
     takes each cube's plane from a cache of split products (_cube_plane),
-    since most cubes recur from trial to trial.  Only the winning labelling
-    is given its witness: its cover comes from cover() on the relabelled graph.
+    since most cubes recur from trial to trial.  Permutations with one
+    orientation have one count, so the search keeps the counts of the first
+    _ORIENTATIONS_KEPT distinct orientations, keyed by the orientation, and
+    a trial that meets a kept one takes its count.  Only the winning
+    labelling is given its witness: its cover comes from cover() on the
+    relabelled graph.
     """
     if budget is not None and budget <= 0:
         raise ValueError("budget must be positive")
@@ -808,11 +815,16 @@ def search_labelling(
 
     gens = list(_mis_by_pivot(G))
     tables = _member_tables(G, gens)
+    counts: dict[tuple[int, ...], int] = {}  # repeat count by orientation (up), bounded
     best: tuple[int, tuple[int, ...]] | None = None  # (count, perm)
     trials = 0
     for perm in candidates:
-        masks = _trial_masks(tables, _orientation(G, perm))
-        count = _repeats(G.n, masks, DEFAULT_ORACLE_BOUND)[0]
+        up = _orientation(G, perm)
+        count = counts.get(key := tuple(up))
+        if count is None:
+            count = _repeats(G.n, _trial_masks(tables, up), DEFAULT_ORACLE_BOUND)[0]
+            if len(counts) < _ORIENTATIONS_KEPT:
+                counts[key] = count
         trials += 1
         if best is None or (count, perm) < best:
             best = (count, perm)

@@ -18,9 +18,9 @@ witness; mis_by_pivot_stack, the pivot
 search on the graph's masks with one stack entry per branch, leaves included;
 edge_list_per_edge, the edge-list text one edge at a time; plane_counts_and,
 the lattice-plane count with each cube's plane built by an AND loop over
-index planes; columns_bytes, canonical_order_bytes, entries_text_bytes and
-pair_index_bytes, which lay every mask out as int.to_bytes writes it, with
-no 64-bit machine words; and the graph builders complete_graph_edges, join_edges,
+index planes; columns_bytes, entries_text_bytes and pair_index_bytes,
+which lay every mask out as int.to_bytes writes it, with no 64-bit machine
+words; and the graph builders complete_graph_edges, join_edges,
 kn_with_pendants_edges, induced_subgraph_edges and max_pruned_supergraph_edges,
 which build each derived graph from an edge list.
 """
@@ -496,9 +496,8 @@ def max_pruned_supergraph_edges(T: Graph, levels, inter_level_only: bool = False
     return Graph(T.n, T.edges() + extra)
 
 
-# _BIT_DIGITS[b] maps each byte to the ASCII digit of its bit b; _REV[x] is the byte x reversed.
+# _BIT_DIGITS[b] maps each byte to the ASCII digit of its bit b.
 _BIT_DIGITS = [bytes(48 + (x >> b & 1) for x in range(256)) for b in range(8)]
-_REV = bytes(int(f"{x:08b}"[::-1], 2) for x in range(256))
 
 
 def columns_bytes(rows, width: int) -> list[int]:
@@ -512,13 +511,6 @@ def columns_bytes(rows, width: int) -> list[int]:
     return [
         int(data[v >> 3::size].translate(_BIT_DIGITS[v & 7]) or b"0", 2) for v in range(width)
     ]
-
-
-def canonical_order_bytes(masks, n: int) -> list[int]:
-    """graph._canonical_order keyed by bytes at every n: each mask's little-endian
-    bytes with each byte's bits reversed, in descending order."""
-    size = (n + 7) // 8
-    return sorted(masks, key=lambda m: m.to_bytes(size, "little").translate(_REV), reverse=True)
 
 
 def entries_text_bytes(n: int, columns: dict) -> str:

@@ -1,10 +1,12 @@
 """The labelling search, enumerating once, against a full rebuild per trial."""
 
 import random
+from itertools import islice, permutations
 from math import factorial
 
 import pytest
 
+import misact.activities
 from misact import Graph, complete_graph, random_graph, relabel, search_labelling
 from misact.activities import _INDEX_MIN, _PLANE_MAX
 from misact.graph import _mis_masks
@@ -117,3 +119,96 @@ def test_exhaustive_answers_on_small_graphs(g, found, trials, repeats, perm):
     r = search_labelling(g)
     assert (r.found_partition, r.trials, r.verdict.repeated_subset_count, r.permutation) == (
         found, trials, repeats, perm)
+
+
+def path(n: int) -> Graph:
+    return Graph(n, [(v, v + 1) for v in range(1, n)])
+
+
+def walked(g: Graph, r) -> list[tuple[int, ...]]:
+    """The permutations the search r on g tried, in order, rebuilt from its mode,
+    seed and trial count."""
+    if r.mode == "exhaustive":
+        return list(islice(permutations(range(1, g.n + 1)), r.trials))
+    rng, perms = random.Random(r.seed), [tuple(range(1, g.n + 1))]
+    for _ in range(r.trials - 1):
+        p = list(range(1, g.n + 1))
+        rng.shuffle(p)
+        perms.append(tuple(p))
+    return perms
+
+
+def orientation(g: Graph, perm) -> frozenset[tuple[int, int]]:
+    """The edges of g, each as (lower label's end, higher label's end) under perm."""
+    return frozenset((u, v) if perm[u - 1] < perm[v - 1] else (v, u) for u, v in g.edges())
+
+
+def counted(monkeypatch) -> list:
+    """Patch the repeat counter to record each count it runs: one per trial
+    counted, and one more for the winner's verdict."""
+    runs, repeats = [], misact.activities._repeats
+
+    def spy(*args):
+        runs.append(result := repeats(*args))
+        return result
+
+    monkeypatch.setattr(misact.activities, "_repeats", spy)
+    return runs
+
+
+@pytest.mark.parametrize(
+    "g, search, orientations",
+    [
+        (cycle(8), {}, 254),  # 2^8 - 2: all but the two cyclic ones
+        (path(8), {}, 128),  # 2^7: a tree's every orientation is acyclic
+        (random_graph(11, 0.3, seed=SEED), {"mode": "random", "budget": 200, "seed": 0}, None),
+    ],
+    ids=["C8", "P8", "G11"],
+)
+def test_each_orientation_is_counted_once(monkeypatch, g, search, orientations):
+    runs = counted(monkeypatch)
+    r = search_labelling(g, **search)
+    keys = {orientation(g, perm) for perm in walked(g, r)}
+    assert orientations in (None, len(keys))
+    assert len(runs) - 1 == len(keys) < r.trials
+
+
+def kept_runs(g: Graph, r, kept: int) -> int:
+    """How many counts the search r on g runs when it keeps those of the first
+    `kept` distinct orientations and counts every other one anew."""
+    seen, runs = set(), 0
+    for perm in walked(g, r):
+        if (key := orientation(g, perm)) not in seen:
+            runs += 1
+            if len(seen) < kept:
+                seen.add(key)
+    return runs
+
+
+KEPT = 4  # a bound that most searches below pass
+
+
+@pytest.mark.parametrize("g", EXHAUSTIVE, ids=repr)
+def test_exhaustive_mode_past_the_bound(monkeypatch, g):
+    monkeypatch.setattr(misact.activities, "_ORIENTATIONS_KEPT", KEPT)
+    runs = counted(monkeypatch)
+    r = search_labelling(g)
+    assert len(runs) - 1 == kept_runs(g, r, KEPT)
+    assert r == search_labelling_loop(g)
+
+
+@pytest.mark.parametrize("g", gnp_graphs(1, range(13)), ids=lambda g: f"n{g.n}m{g.edge_count()}")
+def test_random_mode_past_the_bound(monkeypatch, g):
+    monkeypatch.setattr(misact.activities, "_ORIENTATIONS_KEPT", KEPT)
+    runs = counted(monkeypatch)
+    r = search_labelling(g, budget=50, mode="random", seed=7)
+    assert len(runs) - 1 == kept_runs(g, r, KEPT)
+    assert r == search_labelling_loop(g, budget=50, mode="random", seed=7)
+
+
+def test_the_bound_counts_some_orientations_again():
+    """Some exhaustive searches above meet a dropped orientation twice, so the
+    bound changes how many counts they run."""
+    assert any(kept_runs(g, r, KEPT) > kept_runs(g, r, r.trials)
+               for g in EXHAUSTIVE for r in [search_labelling(g)])
+
