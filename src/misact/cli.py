@@ -34,7 +34,7 @@ from .io import (
     MAX_VERTICES, cover_report, emit_edge_list, parse_edge_list, to_json, verdict_report
 )
 from .pruned import pruned_instance, pruned_partition
-from .verify import verify_all, verify_family
+from .verify import _family_checks, verify_all, verify_family
 
 INTERNAL_ERROR = 3
 USAGE_ERROR = 64
@@ -129,26 +129,14 @@ def _cmd_generate(args: argparse.Namespace) -> tuple[str, int]:
 def _cmd_predict(args: argparse.Namespace) -> tuple[dict, int]:
     fam = FAMILIES[args.family]
     values = _family_values(args)
-    computed = cover(fam.graph(**values))
-    verdict = partition_verdict(computed)
+    predicted, verdict, checks = _family_checks(fam, values)
     if fam.cover is None:
-        predicted = fam.partition(values["sizes"])
-        report = {
-            "family": args.family,
-            "sizes": values["sizes"],
-            "predicted_partition": predicted,
-            "computed_partition": verdict.is_partition,
-            "verified": predicted == verdict.is_partition,
-        }
+        report = {"family": args.family, "sizes": values["sizes"], "predicted_partition": predicted,
+                  "computed_partition": verdict.is_partition}
     else:
-        predicted = fam.cover(**values)
-        report = {
-            "family": args.family,
-            "params": values,
-            **cover_report(predicted, verdict),
-            "verified": predicted.entries == computed.entries and verdict.is_partition,
-        }
-    return report, 0 if report["verified"] else 2
+        report = {"family": args.family, "params": values, **cover_report(predicted, verdict)}
+    report["verified"] = verified = all(c.passed for c in checks)
+    return report, 0 if verified else 2
 
 
 def _cmd_pruned(args: argparse.Namespace) -> tuple[dict, int]:

@@ -299,15 +299,15 @@ class Family:
     `graph` and `cover` take the `params` as keyword arguments.  A family
     has either a closed-form `cover` or, when only partition-hood is known,
     a `partition` predicate on its pendant-block sizes.  `neighborhoods`
-    maps (n, m) to closed-form neighbourhoods, or to None where the formula
-    does not apply.  `vertices` counts an instance's vertices from the params.
+    maps the params to closed-form neighbourhoods, or to None where the
+    formula does not apply.  `vertices` counts an instance's vertices from the params.
     """
 
     params: tuple[str, ...]
     graph: Callable[..., Graph]
     cover: Callable[..., Cover] | None = None
     partition: Callable[[Sequence[int]], bool] | None = None
-    neighborhoods: Callable[[int, int], dict[int, frozenset[int]] | None] | None = None
+    neighborhoods: Callable[..., dict[int, frozenset[int]] | None] | None = None
     vertices: Callable[..., int] = lambda n, **_: n
 
 
@@ -318,7 +318,7 @@ FAMILIES: dict[str, Family] = {
                       partition=pendant_partition_predicate,
                       vertices=lambda n, sizes: n + sum(sizes)),
     "lex": Family(("n", "m"), lex_graph, predicted_cover_lex,
-                  neighborhoods=lambda n, m: lex_neighborhoods(n, m) if m >= n else None),
+                  neighborhoods=lambda n, m: lex_neighborhoods(n, m) if m >= n > 0 else None),
     "colex": Family(("n", "m"), colex_graph, predicted_cover_colex,
                     neighborhoods=colex_neighborhoods),
 }

@@ -13,6 +13,7 @@ from typing import Sequence
 from .activities import (
     DEFAULT_ORACLE_BOUND,
     Cover,
+    PartitionVerdict,
     _check_oracle_bound,
     _index_planes,
     _interval_masks,
@@ -28,7 +29,7 @@ from .complete import (
     find_complete,
     internally_complete,
 )
-from .families import FAMILIES
+from .families import FAMILIES, Family
 from .graph import (
     Graph,
     _bits,
@@ -235,44 +236,40 @@ def verify_family(family: str, n: int, m: int = 0,
     if "sizes" in fam.params and sizes is None:
         raise ValueError("pendant family needs the pendant-block sizes")
     values = {"n": n, "m": m, "sizes": sizes}
-    params = {p: values[p] for p in fam.params}
+    return _family_checks(fam, {p: values[p] for p in fam.params})[2]
+
+
+def _family_checks(fam: Family, params: dict) -> tuple[Cover | bool, PartitionVerdict, list]:
+    """(prediction, verdict on the computed cover, CheckResults) for one family instance.
+
+    A closed-form cover is checked entry for entry, for partition-hood and,
+    where it applies, against the neighbourhood formula; a partition
+    predicate against the verdict.  `predict` and `verify --family` both
+    run these checks.
+    """
     G = fam.graph(**params)
-
-    if fam.cover is None:
-        predicted = fam.partition(sizes)
-        verdict = partition_verdict(cover(G))
-        return [
-            CheckResult(
-                "pendant_predicate",
-                predicted == verdict.is_partition,
-                f"predicted partition={predicted}, computed={verdict.is_partition}",
-            )
-        ]
-
-    predicted = fam.cover(**params)
     computed = cover(G)
-    out = [
-        CheckResult(
-            "predicted_cover",
-            predicted == computed,
-            f"{len(predicted.entries)} predicted vs {len(computed.entries)} computed entries",
-        )
-    ]
     verdict = partition_verdict(computed)
-    out.append(
+    if fam.cover is None:
+        predicted = fam.partition(params["sizes"])
+        return predicted, verdict, [CheckResult(
+            "pendant_predicate", predicted == verdict.is_partition,
+            f"predicted partition={predicted}, computed={verdict.is_partition}",
+        )]
+    predicted = fam.cover(**params)
+    checks = [
         CheckResult(
-            "partition",
-            verdict.is_partition,
-            f"repeated subsets: {verdict.repeated_subset_count}",
-        )
-    )
-    formulas = fam.neighborhoods(n, m) if fam.neighborhoods else None
+            "predicted_cover", predicted == computed,
+            f"{len(predicted.entries)} predicted vs {len(computed.entries)} computed entries",
+        ),
+        CheckResult(
+            "partition", verdict.is_partition, f"repeated subsets: {verdict.repeated_subset_count}"
+        ),
+    ]
+    formulas = fam.neighborhoods(**params) if fam.neighborhoods else None
     if formulas is not None:
-        out.append(
-            CheckResult(
-                "neighborhood_formula",
-                all(formulas[v] == G.neighbors(v) for v in G.vertices),
-                "closed-form neighbourhoods match adjacency",
-            )
-        )
-    return out
+        checks.append(CheckResult(
+            "neighborhood_formula", all(formulas[v] == G.neighbors(v) for v in G.vertices),
+            "closed-form neighbourhoods match adjacency",
+        ))
+    return predicted, verdict, checks

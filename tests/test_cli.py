@@ -336,7 +336,7 @@ class TestCliCommands:
         # missing, extra, conflicting and malformed --n/--m/--sizes
         shapes = [
             [*n, *m, *sizes]
-            for n in ([], ["--n", "3"], ["--n", "4"], ["--n", "-1"])
+            for n in ([], ["--n", "3"], ["--n", "4"], ["--n", "-1"], ["--n", "0"])
             for m in ([], ["--m", "2"], ["--m", "0"])
             for sizes in ([], ["--sizes", "1,0,1"], ["--sizes", ","], ["--sizes", "x"])
         ]
@@ -346,6 +346,18 @@ class TestCliCommands:
             if predict in (1, 64) or verify in (1, 64):
                 assert verify == predict, shape
         capsys.readouterr()
+
+    def test_predict_reads_the_family_checks(self, capsys, monkeypatch):
+        # a wrong neighbourhood formula fails predict as it fails verify --family
+        wrong = dataclasses.replace(
+            FAMILIES["lex"], neighborhoods=lambda n, m: {v: frozenset() for v in range(1, n + 1)}
+        )
+        monkeypatch.setitem(FAMILIES, "lex", wrong)
+        assert run(["predict", "lex", "--n", "5", "--m", "6"]) == 2
+        assert json.loads(capsys.readouterr().out)["verified"] is False
+        assert run(["verify", "--family", "lex", "--n", "5", "--m", "6"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert [c["name"] for c in report["checks"] if not c["passed"]] == ["neighborhood_formula"]
 
     @pytest.mark.parametrize(
         "shape, code",
