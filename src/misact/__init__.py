@@ -12,7 +12,6 @@ from .activities import (
     ActivityPolynomial,
     ActivityReport,
     Cover,
-    LabellingSearchResult,
     MisDifference,
     PartitionVerdict,
     RepeatWitness,
@@ -26,7 +25,6 @@ from .activities import (
     mis_difference_decomposition,
     partition_verdict,
     repeated_subsets_detail,
-    search_labelling,
     subs,
     subset_multiplicity,
 )
@@ -94,6 +92,7 @@ from .pruned import (
     random_pruned_instance,
     tree_center,
 )
+from .search import LabellingSearchResult, search_labelling
 from .verify import verify_all, verify_family
 
 __version__ = "0.1.0"

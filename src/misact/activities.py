@@ -13,11 +13,9 @@ machinery here decides that question three independent ways.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
-from itertools import permutations
+from functools import lru_cache
 from operator import or_, xor
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -32,7 +30,6 @@ from .graph import (
     _members,
     _mis_by_pivot,
     _mis_masks,
-    _relabelled,
     _vertex_set_mask,
     _words,
     enumerate_maximal_independent_sets,  # noqa: F401  bench/spans.py traces it here
@@ -46,7 +43,6 @@ __all__ = [
     "PartitionVerdict",
     "RepeatWitness",
     "ActivityPolynomial",
-    "LabellingSearchResult",
     "MisDifference",
     "ext_active",
     "subs",
@@ -58,7 +54,6 @@ __all__ = [
     "intervals_intersect",
     "partition_verdict",
     "repeated_subsets_detail",
-    "search_labelling",
     "activity_polynomial",
     "mis_difference_decomposition",
 ]
@@ -71,11 +66,6 @@ DEFAULT_ORACLE_BOUND = 25
 # they walk or list up to 2^bound subsets.  partition_verdict counts them and
 # takes any bound.
 MAX_ORACLE_BOUND = 30
-# Exhaustive labelling search walks at most this many vertices' n! permutations.
-FACTORIAL_BOUND = 9
-# A labelling search keeps the repeat counts of at most this many distinct
-# edge orientations, up to about 1 KB each (n = 24); later ones are counted anew.
-_ORIENTATIONS_KEPT = 4096
 
 ACTIVITY_MODES = ("standard", "reversed")
 
@@ -505,19 +495,6 @@ def _check_oracle_bound(oracle_bound: int) -> None:
         )
 
 
-@cache
-def _index_planes(width: int) -> tuple[int, ...]:
-    """Bit x of plane i says whether bit i of x is set, for x < 2^width."""
-    out = []
-    for i in range(width):
-        plane, span = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
-        while span < 1 << width:
-            plane |= plane << span
-            span <<= 1
-        out.append(plane)
-    return tuple(out)
-
-
 # Up to this many free bits, _cover_counts counts on lattice planes.  Against
 # the Shannon expansion on the covers of G(n, p), p 0.3 and 0.5, ten graphs
 # each, in canonical and shuffled order: 1.6-2.5x faster for n 6-11,
@@ -739,109 +716,6 @@ def repeated_subsets_detail(
                 break
             s = (s - 1) & free
     return [(set_of(x), _generators_containing(C, masks, x)) for x in sorted(repeated)]
-
-
-@dataclass(frozen=True)
-class LabellingSearchResult:
-    permutation: tuple[int, ...]  # vertex i is renamed permutation[i-1]
-    verdict: PartitionVerdict
-    found_partition: bool
-    mode: str
-    trials: int
-    seed: int | None
-
-
-def _shuffles(n: int, count: int, rng: random.Random) -> Iterator[tuple[int, ...]]:
-    """The identity, then `count - 1` seeded shuffles of 1..n."""
-    yield tuple(range(1, n + 1))
-    for _ in range(count - 1):
-        p = list(range(1, n + 1))
-        rng.shuffle(p)
-        yield tuple(p)
-
-
-def search_labelling(
-    G: Graph,
-    budget: int | None = None,
-    mode: str = "exhaustive",
-    seed: int | None = None,
-) -> LabellingSearchResult:
-    """Search vertex relabellings for one minimizing the repeated-subset count.
-
-    Trials are ranked by (repeated-subset count, permutation), so a tie goes
-    to the lexicographically smallest permutation.  Exhaustive mode walks all
-    n! permutations in lexicographic order (bounded by FACTORIAL_BOUND) and
-    stops early once a partition shows up.  Random mode tries the identity
-    and then `budget - 1` seeded shuffles; the seed is recorded in the result
-    so runs can be reproduced.  Only random mode takes `budget` and `seed`.
-
-    A relabelling maps the maximal independent sets onto themselves, so they
-    are enumerated once, and the label-free part of their activities, each
-    member's neighbours and private neighbours, is tabled once per search
-    (_member_tables).  Each trial reads its labels only through the
-    permutation's orientation (_orientation, _trial_masks) and runs every
-    check of the verdict on the original masks (_repeats): the repeat count
-    does not depend on vertex names or entry order.  Its lattice-plane count
-    takes each cube's plane from a cache of split products (_cube_plane),
-    since most cubes recur from trial to trial.  Permutations with one
-    orientation have one count, so the search keeps the counts of the first
-    _ORIENTATIONS_KEPT distinct orientations, keyed by the orientation, and
-    a trial that meets a kept one takes its count.  Only the winning
-    labelling is given its witness: its cover comes from cover() on the
-    relabelled graph.
-    """
-    if budget is not None and budget <= 0:
-        raise ValueError("budget must be positive")
-    if mode not in ("exhaustive", "random"):
-        raise ValueError("mode must be 'exhaustive' or 'random'")
-    if mode == "exhaustive" and (budget is not None or seed is not None):
-        raise ValueError("budget and seed apply to random mode only")
-    if G.n > DEFAULT_ORACLE_BOUND:
-        raise ValueError("labelling search needs exact repeat counts; graph too large")
-
-    if mode == "exhaustive":
-        if G.n > FACTORIAL_BOUND:
-            raise ValueError(
-                f"exhaustive search over {G.n}! labellings refused; "
-                f"bound is {FACTORIAL_BOUND}!"
-            )
-        candidates: Iterable[tuple[int, ...]] = permutations(range(1, G.n + 1))
-    else:
-        if budget is None:
-            raise ValueError("random mode needs a trial budget")
-        if seed is None:
-            seed = 0
-        candidates = _shuffles(G.n, budget, random.Random(seed))
-
-    gens = list(_mis_by_pivot(G))
-    tables = _member_tables(G, gens)
-    counts: dict[tuple[int, ...], int] = {}  # repeat count by orientation (up), bounded
-    best: tuple[int, tuple[int, ...]] | None = None  # (count, perm)
-    trials = 0
-    for perm in candidates:
-        up = _orientation(G, perm)
-        count = counts.get(key := tuple(up))
-        if count is None:
-            count = _repeats(G.n, _trial_masks(tables, up), DEFAULT_ORACLE_BOUND)[0]
-            if len(counts) < _ORIENTATIONS_KEPT:
-                counts[key] = count
-        trials += 1
-        if best is None or (count, perm) < best:
-            best = (count, perm)
-        if mode == "exhaustive" and best[0] == 0:
-            break
-
-    assert best is not None
-    best_perm = best[1]
-    verdict = partition_verdict(cover(_relabelled(G, [0, *(1 << (p - 1) for p in best_perm)])))
-    return LabellingSearchResult(
-        permutation=best_perm,
-        verdict=verdict,
-        found_partition=verdict.is_partition,
-        mode=mode,
-        trials=trials,
-        seed=seed if mode == "random" else None,
-    )
 
 
 @dataclass(frozen=True, eq=True)

@@ -18,7 +18,6 @@ from .activities import (
     activity_polynomial,
     cover,
     partition_verdict,
-    search_labelling,
 )
 from .complete import (
     _internally_complete,
@@ -34,6 +33,7 @@ from .io import (
     MAX_VERTICES, cover_report, emit_edge_list, parse_edge_list, to_json, verdict_report
 )
 from .pruned import pruned_instance, pruned_partition
+from .search import _MODES, search_labelling
 from .verify import _family_checks, verify_all, verify_family
 
 INTERNAL_ERROR = 3
@@ -232,7 +232,7 @@ def _build_parser() -> _Parser:
 
     p = add("search-labelling", _cmd_search_labelling, help="find a low-repeat labelling")
     p.add_argument("file")
-    p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
+    p.add_argument("--mode", choices=tuple(_MODES), default="exhaustive")
     p.add_argument("--budget", type=int)
     p.add_argument("--seed", type=int)
 

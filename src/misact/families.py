@@ -170,6 +170,8 @@ def lex_neighborhoods(n: int, m: int) -> dict[int, frozenset[int]]:
     """
     if m < n:
         raise ValueError("closed-form lex neighbourhoods need m >= n")
+    if m == 0:
+        return {}  # n = 0: the empty graph, which has no sds decomposition
     d = sds(m, n)
     k, p = d.depth, d.parts[-1]
     everyone = frozenset(range(1, n + 1))

@@ -8,6 +8,7 @@ turns any failure into exit code 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 from .activities import (
@@ -15,7 +16,6 @@ from .activities import (
     Cover,
     PartitionVerdict,
     _check_oracle_bound,
-    _index_planes,
     _interval_masks,
     _locate_planes,
     cover,
@@ -52,6 +52,19 @@ class CheckResult:
 # G(20, 0.3), seed 7, best of 15: 16 took 0.009 s and peaked at 0.7 MB; 12
 # took 0.024 s, and one chunk of 2^20 took 0.016 s and peaked at 10.8 MB.
 _CHUNK_BITS = 16
+
+
+@cache
+def _index_planes(width: int) -> tuple[int, ...]:
+    """Bit x of plane i says whether bit i of x is set, for x < 2^width."""
+    out = []
+    for i in range(width):
+        plane, span = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+        while span < 1 << width:
+            plane |= plane << span
+            span <<= 1
+        out.append(plane)
+    return tuple(out)
 
 
 def _first_bad_locate(G: Graph, C: Cover) -> int | None:

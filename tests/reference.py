@@ -31,15 +31,15 @@ from operator import and_, neg, not_, sub
 
 from misact import Graph, cover, partition_verdict
 from misact.activities import (
-    LabellingSearchResult,
     PartitionVerdict,
     RepeatWitness,
     _cover_counts,
-    _index_planes,
     _overlapping_pairs,
 )
 from misact.graph import set_of
 from misact.io import _byte_lines, _list_starts, verdict_report
+from misact.search import LabellingSearchResult
+from misact.verify import _index_planes
 
 
 def subsets(n: int):

@@ -259,6 +259,10 @@ class TestNeighborhoodFormulas:
         with pytest.raises(ValueError, match="m >= n"):
             lex_neighborhoods(5, 4)
 
+    def test_empty_graph(self):
+        """The empty graph has no sds decomposition, and no neighbourhoods to give."""
+        assert lex_neighborhoods(0, 0) == colex_neighborhoods(0, 0) == {}
+
     def test_formulas_match_adjacency(self):
         for n in range(2, 11):
             for m in range(n, pairs(n) + 1):

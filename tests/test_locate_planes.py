@@ -28,10 +28,11 @@ def seeded_graphs(count, max_n):
 
 
 def test_index_planes_have_one_home():
-    """verify reads the counter's cached lattice planes; bit x of plane i is bit i of x."""
-    assert misact.verify._index_planes is misact.activities._index_planes
+    """The location check's cached lattice planes live in verify, their one caller;
+    bit x of plane i is bit i of x."""
+    assert not hasattr(misact.activities, "_index_planes")
     for width in range(7):
-        planes = misact.activities._index_planes(width)
+        planes = misact.verify._index_planes(width)
         assert [[p >> x & 1 for x in range(1 << width)] for p in planes] == [
             [x >> i & 1 for x in range(1 << width)] for i in range(width)]
 

@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 
 import misact.activities
+import misact.search
 from misact import Graph, complete_graph, random_graph, relabel, search_labelling
 from misact.activities import _INDEX_MIN, _PLANE_MAX
 from misact.graph import _mis_masks
@@ -145,13 +146,14 @@ def orientation(g: Graph, perm) -> frozenset[tuple[int, int]]:
 
 def counted(monkeypatch) -> list:
     """Patch the repeat counter to record each count it runs: one per trial
-    counted, and one more for the winner's verdict."""
+    counted, in the search, and one more for the winner's verdict."""
     runs, repeats = [], misact.activities._repeats
 
     def spy(*args):
         runs.append(result := repeats(*args))
         return result
 
+    monkeypatch.setattr(misact.search, "_repeats", spy)
     monkeypatch.setattr(misact.activities, "_repeats", spy)
     return runs
 
@@ -190,7 +192,7 @@ KEPT = 4  # a bound that most searches below pass
 
 @pytest.mark.parametrize("g", EXHAUSTIVE, ids=repr)
 def test_exhaustive_mode_past_the_bound(monkeypatch, g):
-    monkeypatch.setattr(misact.activities, "_ORIENTATIONS_KEPT", KEPT)
+    monkeypatch.setattr(misact.search, "_ORIENTATIONS_KEPT", KEPT)
     runs = counted(monkeypatch)
     r = search_labelling(g)
     assert len(runs) - 1 == kept_runs(g, r, KEPT)
@@ -199,7 +201,7 @@ def test_exhaustive_mode_past_the_bound(monkeypatch, g):
 
 @pytest.mark.parametrize("g", gnp_graphs(1, range(13)), ids=lambda g: f"n{g.n}m{g.edge_count()}")
 def test_random_mode_past_the_bound(monkeypatch, g):
-    monkeypatch.setattr(misact.activities, "_ORIENTATIONS_KEPT", KEPT)
+    monkeypatch.setattr(misact.search, "_ORIENTATIONS_KEPT", KEPT)
     runs = counted(monkeypatch)
     r = search_labelling(g, budget=50, mode="random", seed=7)
     assert len(runs) - 1 == kept_runs(g, r, KEPT)
