@@ -17,7 +17,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import or_, xor
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from struct import Struct
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .graph import (
     Graph,
@@ -299,6 +300,70 @@ def _trial_masks(
     return masks
 
 
+# _trial_batch lays out each interval end as one little-endian word of 8, 16 or _END_BITS bits.
+_END_BITS = 32
+_HIGH_DIGITS = bytes(48 + (x >> 7) for x in range(256))  # each byte to the digit of its bit 7
+
+
+def _trial_batch(
+    G: Graph, tables: list[tuple[int, list[tuple[int, int, int]]]], perms: list[tuple[int, ...]]
+) -> tuple[list[int], Callable[[int], list[tuple[int, int]]]]:
+    """_trial_masks for many labellings at once, bit-sliced: bit t of a plane is perms[t]'s.
+
+    Each edge {u < w} has one plane, of the labellings that put w above u:
+    with one byte per labelling, the labels of w, each raised by 128, less
+    those of u keep bit 7 of a byte exactly there.  keys[t], the transpose of
+    the edge planes (_columns), is perms[t]'s orientation as one int: bit e
+    for the e-th edge of G.edges().  ends(t) is _trial_masks(tables,
+    _orientation(G, perms[t])).  Its first call builds each set's end planes
+    from the edge planes: in the upper end, the members' and those of each
+    neighbour above a member; in the lower end, those of the members with a
+    private neighbour above them.  Each end takes the rows of one word of 8,
+    16 or _END_BITS bits, so that every call reads perms[t]'s column of all
+    the rows as one int and unpacks its words, in a fixed number of calls
+    for any number of sets.
+    """
+    n, width, adj = G.n, len(perms), G.adj_mask
+    # byte t of lab[v] holds the label of v in perms[t], counted from the last byte, so
+    # that the digits a plane is read from put perms[0] last, as bit 0
+    labels = b"".join(map(bytes, reversed(perms)))
+    raised = int.from_bytes(b"\x80" * width, "big")
+    lab = [0, *(int.from_bytes(labels[v::n], "big") for v in range(n))]
+    full, above, planes = (1 << width) - 1, [[] for _ in lab], []
+    for u in G.vertices:  # above[u]: (w, the plane of w labelled above u) per neighbour w
+        for w in _bits(adj[u] >> u << u):
+            diff = ((lab[w] | raised) - lab[u]).to_bytes(width, "big")
+            planes.append(p := int(diff.translate(_HIGH_DIGITS), 2))
+            above[u].append((w, p))
+            above[w].append((u, full ^ p))
+    bits = 8 if n <= 8 else 16 if n <= 16 else _END_BITS  # each end's rows: one word's bits
+    words = Struct(f"<{2 * len(tables)}{'BHI'[bits // 16]}").unpack
+    hi, data = bits - 1, None  # data: every set's rows, (bytes, bytes per row), on demand
+
+    def ends(t: int) -> list[tuple[int, int]]:
+        nonlocal data
+        if data is None:
+            pieces = []  # per set, its rows' bytes, the last row first
+            for m, members in reversed(tables):
+                rows = [0] * (2 * bits)  # rows[v - 1]: v's lower-end plane; rows[hi + v]: upper
+                for v in _members(m):
+                    rows[hi + v] = full
+                for v, _, private in members:
+                    for w, p in above[v]:
+                        rows[hi + w] |= p
+                        if private >> (w - 1) & 1:
+                            rows[v - 1] |= p
+                piece, size = _mask_bytes(reversed(rows), width)
+                pieces.append(piece)
+            data = b"".join(pieces), size
+        packed, size = data
+        column = int(packed[t >> 3::size].translate(_BIT_DIGITS[t & 7]), 2)
+        pairs = iter(words(column.to_bytes(bits // 4 * len(tables), "little")))
+        return list(zip(pairs, pairs))
+
+    return _columns(planes, width), ends
+
+
 def cover(G: Graph) -> Cover:
     """Interval cover generated by all maximal independent sets, canonical order."""
     gens = _mis_masks(G)
@@ -568,9 +633,12 @@ def _shannon_counts(free: int, cubes: list[tuple[int, int]]) -> tuple[int, int, 
     union.  Two cubes or fewer are counted by inclusion-exclusion.  The
     stack depth stays at most the popcount of free.  Each branch carries
     `on`, its split bits set to 1: the smallest subset it holds of a cube
-    (lo, hi) is on | lo & free, and of the whole branch `on`.
+    (lo, hi) is on | lo & free, and of the whole branch `on`.  The cubes
+    are sorted once, the most free bits first, so that the cost does not
+    follow the order they come in.
     """
     covered, repeated, least = 0, 0, free + 1  # least starts above every subset of free
+    cubes = sorted(cubes, key=lambda cube: (free & cube[1] & ~cube[0]).bit_count(), reverse=True)
     stack = [(free, cubes, True, 0)]  # True: count both; False: the union into repeated
     while stack:
         free, cubes, both, on = stack.pop()

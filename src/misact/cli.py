@@ -170,6 +170,11 @@ def _cmd_search_labelling(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
+    if args.family and args.file:
+        raise _UsageError("verify takes a file or --family, not both")
+    given = [p for p in ("n", "m", "sizes") if getattr(args, p) is not None]
+    if given and not args.family:
+        raise _UsageError(f"--{given[0]} applies with --family only")
     if args.family:
         checks = verify_family(args.family, **_family_values(args))
         target = f"family:{args.family}"

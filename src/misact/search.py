@@ -5,25 +5,25 @@ subset lattice; search_labelling asks it of one graph.  _MODES maps each
 mode to its source of candidate permutations, called as source(n, budget,
 seed), and to whether its walk stops at the first partition.  A source is a
 plain function, not a generator, so that it checks the mode's arguments
-before any enumeration.  One loop ranks every mode's trials.  The kernels it
-runs stay in activities: _member_tables, _orientation, _trial_masks and
-_repeats.
+before any enumeration.  One loop ranks every mode's trials, which _trials
+counts in batches.  The kernels it runs stay in activities: _member_tables,
+_trial_batch and _repeats.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
 from typing import Iterable, Iterator
 
 from .activities import (
     DEFAULT_ORACLE_BOUND,
     PartitionVerdict,
+    _END_BITS,
     _member_tables,
-    _orientation,
     _repeats,
-    _trial_masks,
+    _trial_batch,
     cover,
     partition_verdict,
 )
@@ -33,9 +33,13 @@ __all__ = ["LabellingSearchResult", "search_labelling"]
 
 # Exhaustive labelling search walks at most this many vertices' n! permutations.
 FACTORIAL_BOUND = 9
-# A labelling search keeps the repeat counts of at most this many distinct
-# edge orientations, up to about 1 KB each (n = 24); later ones are counted anew.
+# A labelling search keeps the repeat counts of at most this many distinct edge
+# orientations, each keyed by one int of a bit per edge (84 B with its dict entry
+# at n = 24, m = 139); later ones are counted anew.
 _ORIENTATIONS_KEPT = 4096
+# The search takes its labellings in batches of at most _BATCH, and fewer when the
+# sets are many: a batch's interval-end planes hold 2 * _END_BITS bits per set and labelling.
+_BATCH, _BATCH_BITS = 256, 1 << 25
 
 
 @dataclass(frozen=True)
@@ -74,12 +78,43 @@ def _random(n: int, budget: int | None, seed: int | None) -> Iterable[tuple[int,
 
 
 def _shuffles(n: int, count: int, rng: random.Random) -> Iterator[tuple[int, ...]]:
-    """The identity, then `count - 1` seeded shuffles of 1..n."""
-    yield tuple(range(1, n + 1))
+    """The identity, then `count - 1` seeded shuffles of 1..n.
+
+    The swaps are drawn from rng.getrandbits inline, as random.shuffle draws
+    them through random.Random._randbelow, so the permutations and the
+    generator's state after them are those of random.shuffle.
+    """
+    identity = list(range(1, n + 1))
+    yield tuple(identity)
+    getrandbits = rng.getrandbits
+    swaps = [(i, i + 1, (i + 1).bit_length()) for i in reversed(range(1, n))]
     for _ in range(count - 1):
-        p = list(range(1, n + 1))
-        rng.shuffle(p)
+        p = identity[:]
+        for i, below, bits in swaps:
+            j = getrandbits(bits)
+            while j >= below:
+                j = getrandbits(bits)
+            p[i], p[j] = p[j], p[i]
         yield tuple(p)
+
+
+def _trials(
+    G: Graph, candidates: Iterable[tuple[int, ...]]
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(repeat count, permutation) of each candidate in turn, counted in batches (_trial_batch)."""
+    tables = _member_tables(G, list(_mis_by_pivot(G)))
+    size = max(1, min(_BATCH, _BATCH_BITS // (2 * _END_BITS * len(tables))))
+    counts: dict[int, int] = {}  # repeat count by orientation key, bounded
+    candidates = iter(candidates)
+    while batch := list(islice(candidates, size)):
+        keys, ends = _trial_batch(G, tables, batch)
+        for t, (perm, key) in enumerate(zip(batch, keys)):
+            count = counts.get(key)
+            if count is None:
+                count = _repeats(G.n, ends(t), DEFAULT_ORACLE_BOUND)[0]
+                if len(counts) < _ORIENTATIONS_KEPT:
+                    counts[key] = count
+            yield count, perm
 
 
 _MODES = {"exhaustive": (_exhaustive, True), "random": (_random, False)}
@@ -104,16 +139,19 @@ def search_labelling(
     are enumerated once, and the label-free part of their activities, each
     member's neighbours and private neighbours, is tabled once per search
     (_member_tables).  Each trial reads its labels only through the
-    permutation's orientation (_orientation, _trial_masks) and runs every
-    check of the verdict on the original masks (_repeats): the repeat count
-    does not depend on vertex names or entry order.  Its lattice-plane count
+    permutation's orientation and runs every check of the verdict on the
+    original masks (_repeats): the repeat count does not depend on vertex
+    names or entry order.  The trials come in batches of up to _BATCH, whose
+    orientations and interval ends one bit-sliced kernel gives (_trial_batch);
+    the ends are built only for a batch where some orientation is not kept,
+    and unpacked only for those trials.  Its lattice-plane count
     takes each cube's plane from a cache of split products (_cube_plane),
     since most cubes recur from trial to trial.  Permutations with one
     orientation have one count, so the search keeps the counts of the first
-    _ORIENTATIONS_KEPT distinct orientations, keyed by the orientation, and
-    a trial that meets a kept one takes its count.  Only the winning
-    labelling is given its witness: its cover comes from cover() on the
-    relabelled graph.
+    _ORIENTATIONS_KEPT distinct orientations, keyed by the orientation as
+    one int with a bit per edge, and a trial that meets a kept one takes its
+    count.  Only the winning labelling is given its witness: its cover comes
+    from cover() on the relabelled graph.
     """
     if budget is not None and budget <= 0:
         raise ValueError("budget must be positive")
@@ -124,19 +162,10 @@ def search_labelling(
     source, stops_at_partition = _MODES[mode]
     candidates = source(G.n, budget, seed)
 
-    gens = list(_mis_by_pivot(G))
-    tables = _member_tables(G, gens)
-    counts: dict[tuple[int, ...], int] = {}  # repeat count by orientation (up), bounded
     best: tuple[int, tuple[int, ...]] | None = None  # (count, perm)
-    for trials, perm in enumerate(candidates, 1):
-        up = _orientation(G, perm)
-        count = counts.get(key := tuple(up))
-        if count is None:
-            count = _repeats(G.n, _trial_masks(tables, up), DEFAULT_ORACLE_BOUND)[0]
-            if len(counts) < _ORIENTATIONS_KEPT:
-                counts[key] = count
-        if best is None or (count, perm) < best:
-            best = (count, perm)
+    for trials, trial in enumerate(_trials(G, candidates), 1):
+        if best is None or trial < best:
+            best = trial
         if stops_at_partition and best[0] == 0:
             break
 

@@ -501,6 +501,29 @@ class TestExitCodes:
             assert run(["verify", path, "--oracle-bound", bound]) == 0
         capsys.readouterr()
 
+    def test_verify_refuses_a_file_with_a_family(self, tmp_path, capsys):
+        # the file used to be ignored, with exit 0
+        path = write_graph(tmp_path, tailed_triangle())
+        for extra in (["--n", "3"], []):
+            assert run(["verify", path, "--family", "kn", *extra]) == 64
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "", "usage error: verify takes a file or --family, not both\n")
+
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [(["--n", "3"], "--n"), (["--m", "0"], "--m"), (["--sizes", "1,0"], "--sizes"),
+         (["--m", "2", "--n", "3"], "--n")],
+    )
+    def test_verify_refuses_family_parameters_without_a_family(self, tmp_path, capsys, extra, flag):
+        # with a file they used to be ignored, with exit 0
+        path = write_graph(tmp_path, tailed_triangle())
+        for argv in ([path, *extra], extra):
+            assert run(["verify", *argv]) == 64
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "", f"usage error: {flag} applies with --family only\n")
+
     def test_subprocess_entry_point(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("3 3\n1 2\n1 3\n2 3\n")

@@ -11,6 +11,7 @@ import misact.search
 from misact import Graph, complete_graph, random_graph, relabel, search_labelling
 from misact.activities import _INDEX_MIN, _PLANE_MAX
 from misact.graph import _mis_masks
+from misact.search import _BATCH, _shuffles
 
 from reference import search_labelling_loop
 from sample_graphs import dense_five_overlapping, disjoint_cliques, wheel_five
@@ -214,3 +215,67 @@ def test_the_bound_counts_some_orientations_again():
     assert any(kept_runs(g, r, KEPT) > kept_runs(g, r, r.trials)
                for g in EXHAUSTIVE for r in [search_labelling(g)])
 
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, SEED])
+def test_shuffles_draw_as_random_shuffle(seed):
+    """The inline draws give random.shuffle's permutations and leave the generator
+    where random.shuffle leaves it."""
+    for n in range(26):
+        rng, expected = random.Random(seed), [tuple(range(1, n + 1))]
+        for _ in range(5):
+            p = list(range(1, n + 1))
+            rng.shuffle(p)
+            expected.append(tuple(p))
+        drawn = random.Random(seed)
+        assert list(_shuffles(n, 6, drawn)) == expected, n
+        assert drawn.getstate() == rng.getstate()
+
+
+@pytest.mark.parametrize("budget", [1, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1])
+@pytest.mark.parametrize("g", [random_graph(8, 0.4, seed=SEED), STRUCTURED[13]], ids=repr)
+def test_random_budgets_at_the_batch_edges(g, budget):
+    r = search_labelling(g, budget=budget, mode="random", seed=4)
+    assert r.trials == budget
+    assert r == search_labelling_loop(g, budget=budget, mode="random", seed=4)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 5])
+@pytest.mark.parametrize("g", gnp_graphs(1, range(2, 10)), ids=lambda g: f"n{g.n}m{g.edge_count()}")
+def test_small_batches(monkeypatch, g, batch):
+    """Batches of a few labellings, with budgets that end on, before and after a
+    batch's last labelling, give the search's results; so do exhaustive searches
+    up to 6 vertices."""
+    monkeypatch.setattr(misact.search, "_BATCH", batch)
+    for budget in (1, batch, batch + 1, 3 * batch - 1):
+        got = search_labelling(g, budget=budget, mode="random", seed=batch)
+        assert got == search_labelling_loop(g, budget=budget, mode="random", seed=batch)
+    if g.n <= 6:
+        assert search_labelling(g) == search_labelling_loop(g)
+
+
+# The first labelling of this graph whose cover partitions is the 378th: at _BATCH = 256, the
+# 122nd of the second batch.
+MID_BATCH = Graph(7, [(1, 2), (1, 3), (1, 5), (1, 6), (1, 7), (2, 3), (2, 6), (2, 7), (3, 4),
+                      (3, 5), (4, 6), (4, 7), (5, 7), (6, 7)])
+
+
+@pytest.mark.parametrize("batch", [_BATCH, 1, 2, 377, 378, 379])
+def test_exhaustive_stop_mid_batch(monkeypatch, batch):
+    assert _BATCH < 378 and 378 % _BATCH  # past the first batch of the search's own size
+    monkeypatch.setattr(misact.search, "_BATCH", batch)
+    r = search_labelling(MID_BATCH)
+    assert (r.found_partition, r.trials) == (True, 378)
+    assert r == search_labelling_loop(MID_BATCH)
+
+
+@pytest.mark.parametrize("kept", [1, 5, 300])
+@pytest.mark.parametrize("g", [random_graph(9, 0.3, seed=SEED), cycle(8)], ids=repr)
+def test_the_bound_crossed_inside_a_batch(monkeypatch, g, kept):
+    """The kept counts run out within a batch: the later trials of that batch and
+    the ones after count their new orientations anew."""
+    monkeypatch.setattr(misact.search, "_ORIENTATIONS_KEPT", kept)
+    runs = counted(monkeypatch)
+    r = search_labelling(g, budget=600, mode="random", seed=2)
+    assert len(runs) - 1 == kept_runs(g, r, kept)
+    assert r == search_labelling_loop(g, budget=600, mode="random", seed=2)

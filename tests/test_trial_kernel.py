@@ -1,4 +1,4 @@
-"""The labelling search's trial kernel, and the cover kernel, against the reference loop."""
+"""The labelling search's trial kernels, and the cover kernel, against the reference loop."""
 
 import random
 
@@ -10,6 +10,7 @@ from misact.activities import (
     _activity_planes,
     _member_tables,
     _orientation,
+    _trial_batch,
     _trial_masks,
 )
 from misact.graph import _mis_by_pivot
@@ -75,3 +76,32 @@ def test_trial_masks_match_the_activity_kernels(g):
         assert _trial_masks(tables, up) == expected, perm
         ints, exts, _ = _activity_planes(g, gens, up)
         assert [(m & ~i, m | e) for m, i, e in zip(gens, ints, exts)] == expected, perm
+
+
+def batch_graphs() -> list[Graph]:
+    """Graphs on either side of each end word's width (8, 16 and 32 bits), with n = 0,
+    n = 1 and isolated vertices among them."""
+    rng = random.Random(SEED + 1)
+    return STRUCTURED + [
+        Graph(17, [(1, 17), (2, 9)]), disjoint_cliques([3] * 5),
+        *(random_graph(n, p, rng=rng) for n in (2, 8, 9, 16, 17, 25) for p in (0.2, 0.5)),
+    ]
+
+
+def orientation_key(g: Graph, perm) -> int:
+    """Bit e set when the e-th edge (u, w) of g.edges() has w labelled above u."""
+    return sum(1 << e for e, (u, w) in enumerate(g.edges()) if perm[w - 1] > perm[u - 1])
+
+
+@pytest.mark.parametrize("width", [1, 8, 9, 64, 65, 256])
+@pytest.mark.parametrize("g", batch_graphs(), ids=lambda g: f"n{g.n}m{g.edge_count()}")
+def test_trial_batch_matches_the_trial_kernel(g, width):
+    """Every labelling of a batch gets the orientation key and the interval ends that
+    the one-labelling kernel gives it, read in any order."""
+    rng = random.Random(g.n * 1000 + g.edge_count() + width)
+    perms = [tuple(rng.sample(range(1, g.n + 1), g.n)) for _ in range(width)]
+    tables = _member_tables(g, list(_mis_by_pivot(g)))
+    keys, ends = _trial_batch(g, tables, perms)
+    assert keys == [orientation_key(g, perm) for perm in perms]
+    for t in rng.sample(range(width), width):
+        assert ends(t) == _trial_masks(tables, _orientation(g, perms[t])), perms[t]

@@ -21,10 +21,13 @@ from misact.activities import (
     _cover_counts,
     _generators_containing,
     _interval_masks,
+    _member_tables,
+    _orientation,
     _plane_counts,
     _shannon_counts,
+    _trial_masks,
 )
-from misact.graph import set_of
+from misact.graph import _mis_by_pivot, set_of
 from misact.pruned import random_pruned_instance
 
 from reference import subset_histogram
@@ -250,3 +253,24 @@ class TestRepeatedDetailAgainstHistogram:
             assert repeated_subsets_detail(c) == expected
             non_partitions += bool(expected)
         assert non_partitions >= 40  # most seeded graphs repeat subsets
+
+
+def test_shannon_counts_do_not_follow_the_cube_order():
+    """Any order of the cubes gives the same counts and smallest repeated subset: the
+    trial ends of G(n, 0.3), n 13-16, under seeded labellings, and random cubes on
+    part of a lattice."""
+    rng = random.Random(16)
+    cases = []
+    for n in (13, 14, 15, 16):
+        g = random_graph(n, 0.3, rng=rng)
+        tables = _member_tables(g, list(_mis_by_pivot(g)))
+        for _ in range(3):
+            up = _orientation(g, rng.sample(range(1, n + 1), n))
+            cases.append(((1 << n) - 1, _trial_masks(tables, up)))
+    for _ in range(40):
+        n = rng.randint(1, 10)
+        cases.append((rng.getrandbits(n), [random_cube(rng, n) for _ in range(rng.randint(0, 12))]))
+    for free, cubes in cases:
+        expected = _shannon_counts(free, cubes)
+        for _ in range(4):
+            assert _shannon_counts(free, rng.sample(cubes, len(cubes))) == expected
