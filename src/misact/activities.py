@@ -562,9 +562,9 @@ def _check_oracle_bound(oracle_bound: int) -> None:
 
 # Up to this many free bits, _cover_counts counts on lattice planes.  Against
 # the Shannon expansion on the covers of G(n, p), p 0.3 and 0.5, ten graphs
-# each, in canonical and shuffled order: 1.6-2.5x faster for n 6-11,
-# 1.35-1.5x at 12, 0.9-1.0x at 13 and 0.3-0.8x at 14-16; each further bit
-# doubles the length of every plane.
+# each, in canonical and shuffled order, each cube's plane built afresh: in
+# the median 2.3-3.8x as fast for n 6-11, 1.7x at 12, 1.2x at 13, 0.8x at 14
+# and 0.3-0.5x at 15-16; every plane cached, 2.1x at 14 and 0.9x at 16.
 _PLANE_MAX = 12
 
 
@@ -575,7 +575,7 @@ def _cover_counts(free: int, cubes: list[tuple[int, int]]) -> tuple[int, int, in
 
     When `free` is the whole lattice of at most _PLANE_MAX bits, the count
     runs on lattice planes (_plane_counts); otherwise by Shannon expansion
-    (_shannon_counts).  Every cube must be nonempty (lo <= hi).
+    on bit sets of cubes (_shannon_counts).  Every cube needs lo <= hi.
     """
     if not free & (free + 1) and free.bit_length() <= _PLANE_MAX:
         return _plane_counts(free, cubes)
@@ -625,33 +625,38 @@ def _spread(lo: int, hi: int, stride: int) -> int:
 def _shannon_counts(free: int, cubes: list[tuple[int, int]]) -> tuple[int, int, int | None]:
     """_cover_counts by one Shannon expansion, for any `free`.
 
-    A branch splits on a bit its first cube fixes (in lo, or outside hi):
-    the two halves are disjoint, and each keeps only the cubes that allow
-    its value of the bit.  A branch where two or more cubes fix no free bit
-    is covered twice over; where exactly one does, it is covered once, and
-    the union of the other cubes is what it repeats, counted on as a plain
-    union.  Two cubes or fewer are counted by inclusion-exclusion.  The
-    stack depth stays at most the popcount of free.  Each branch carries
-    `on`, its split bits set to 1: the smallest subset it holds of a cube
-    (lo, hi) is on | lo & free, and of the whole branch `on`.  The cubes
-    are sorted once, the most free bits first, so that the cost does not
-    follow the order they come in.
+    The cubes are sorted once, the most free bits first, so that the cost
+    does not follow the order they come in; a branch holds a bit set of
+    them, bit j for cube j.  It splits on the lowest free bit its first cube
+    fixes (in lo, or outside hi) into two disjoint halves, each the cubes
+    that allow its value of the bit: one AND with the plane of the cubes
+    whose lower end lacks the bit, or whose upper end has it.  Empty halves
+    are dropped.  A branch its first cube holds whole is covered; in count
+    mode the union of its other cubes is what it repeats, counted on as a
+    plain union, and in union mode it is repeated.  Two cubes or fewer are
+    counted by inclusion-exclusion.  Each branch carries `on`, its split
+    bits set to 1: the smallest subset it holds of a cube (lo, hi) is
+    on | lo & free, and of the whole branch `on`.
     """
     covered, repeated, least = 0, 0, free + 1  # least starts above every subset of free
     cubes = sorted(cubes, key=lambda cube: (free & cube[1] & ~cube[0]).bit_count(), reverse=True)
-    stack = [(free, cubes, True, 0)]  # True: count both; False: the union into repeated
+    los, his = [lo & free for lo, _ in cubes], [hi & free for _, hi in cubes]
+    fixes, every = [lo | ~hi for lo, hi in cubes], (1 << len(cubes)) - 1
+    allow0 = [every ^ p for p in _columns(los, free.bit_length())]  # bit j: cube j allows the bit off
+    allow1 = _columns(his, free.bit_length())  # ... and on
+    stack = [(free, every, True, 0)] if cubes else []  # True: count both; False: the union into repeated
     while stack:
-        free, cubes, both, on = stack.pop()
-        if len(cubes) < 3:
+        free, held, both, on = stack.pop()
+        j = (held & -held).bit_length() - 1
+        rest = held ^ 1 << j
+        if not rest & (rest - 1):  # one or two cubes
             sizes = meet = 0
-            for lo, hi in cubes:
-                sizes += 1 << (free & hi & ~lo).bit_count()
-                if not both and on | lo & free < least:
-                    least = on | lo & free
-            if len(cubes) == 2:
-                (lo, hi), (lo_b, hi_b) = cubes
-                lo |= lo_b
-                hi &= hi_b
+            for i in (j, rest.bit_length() - 1) if rest else (j,):
+                sizes += 1 << (free & his[i] & ~los[i]).bit_count()
+                if not both and on | los[i] & free < least:
+                    least = on | los[i] & free
+            if rest:
+                lo, hi = los[j] | los[i], his[j] & his[i]
                 if not free & lo & ~hi:
                     meet = 1 << (free & hi & ~lo).bit_count()
                     if both and on | lo & free < least:
@@ -662,23 +667,24 @@ def _shannon_counts(free: int, cubes: list[tuple[int, int]]) -> tuple[int, int, 
             else:
                 repeated += sizes - meet
             continue
-        fixed = [free & (lo | ~hi) for lo, hi in cubes]
-        whole = fixed.count(0)
-        if whole:
+        fixed = free & fixes[j]
+        if not fixed:  # the first cube holds the whole branch
             size = 1 << free.bit_count()
-            if not both or whole > 1:
+            if both:
+                covered += size
+                stack.append((free, rest, False, on))
+            else:
                 repeated += size
                 if on < least:
                     least = on
-            if both:
-                covered += size
-                if whole == 1:
-                    stack.append((free, [c for c, f in zip(cubes, fixed) if f], False, on))
             continue
-        bit = fixed[0] & -fixed[0]
+        bit = fixed & -fixed
         free ^= bit
-        stack.append((free, [c for c in cubes if not c[0] & bit], both, on))  # bit off
-        stack.append((free, [c for c in cubes if c[1] & bit], both, on | bit))  # bit on
+        b = bit.bit_length() - 1
+        if off := held & allow0[b]:
+            stack.append((free, off, both, on))
+        if held := held & allow1[b]:
+            stack.append((free, held, both, on | bit))
     return covered, repeated, least if repeated else None
 
 
@@ -699,11 +705,12 @@ def partition_verdict(C: Cover, oracle_bound: int = DEFAULT_ORACLE_BOUND) -> Par
     summed interval sizes against 2^n, which suffices because the intervals
     are known to cover every subset.  Up to `oracle_bound` vertices a third
     method counts exactly, in one pass of _cover_counts (on lattice planes up
-    to _PLANE_MAX vertices, by Shannon expansion above) that tracks the
-    subsets lying in at least one interval and in at least two: the first
-    count must be all 2^n subsets, the second is the reported repeat count,
-    and the smallest repeated subset is the witness.  No per-subset table is
-    built; the bound only decides whether the exact count is reported.
+    to _PLANE_MAX vertices, above by Shannon expansion over bit sets of the
+    intervals) that tracks the subsets lying in at least one interval and in
+    at least two: the first count must be all 2^n subsets, the second is the
+    reported repeat count, and the smallest repeated subset is the witness.
+    No per-subset table is built; the bound only decides whether the exact
+    count is reported.
 
     Checks run in this order, over one pair walk (_overlapping_pairs):
       1. up to the bound, a subset in no interval raises "cover misses";

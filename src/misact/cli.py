@@ -175,11 +175,14 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     given = [p for p in ("n", "m", "sizes") if getattr(args, p) is not None]
     if given and not args.family:
         raise _UsageError(f"--{given[0]} applies with --family only")
+    if args.oracle_bound is not None and args.family:
+        raise _UsageError("--oracle-bound applies to a file only")
     if args.family:
         checks = verify_family(args.family, **_family_values(args))
         target = f"family:{args.family}"
     elif args.file:
-        checks = verify_all(_read_graph(args.file), oracle_bound=args.oracle_bound)
+        bound = DEFAULT_ORACLE_BOUND if args.oracle_bound is None else args.oracle_bound
+        checks = verify_all(_read_graph(args.file), oracle_bound=bound)
         target = args.file
     else:
         raise _UsageError("verify needs a file or --family")
@@ -247,7 +250,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--sizes")
-    p.add_argument("--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND)
+    p.add_argument("--oracle-bound", type=int)  # DEFAULT_ORACLE_BOUND for a file
 
     p = add("polynomial", _cmd_polynomial, help="activity polynomial coefficients")
     p.add_argument("file")

@@ -18,7 +18,8 @@ witness; mis_by_pivot_stack, the pivot
 search on the graph's masks with one stack entry per branch, leaves included;
 edge_list_per_edge, the edge-list text one edge at a time; plane_counts_and,
 the lattice-plane count with each cube's plane built by an AND loop over
-index planes; columns_bytes, entries_text_bytes and pair_index_bytes,
+index planes; shannon_counts_lists, the Shannon count with each branch's
+cubes in a list, split by one filtering pass per half; columns_bytes, entries_text_bytes and pair_index_bytes,
 which lay every mask out as int.to_bytes writes it, with no 64-bit machine
 words; and the graph builders complete_graph_edges, join_edges,
 kn_with_pendants_edges, induced_subgraph_edges and max_pruned_supergraph_edges,
@@ -430,6 +431,66 @@ def plane_counts_and(free: int, cubes) -> tuple[int, int, int | None]:
         once |= s
     least = next((x for x in range(1 << n) if twice >> x & 1), None)
     return once.bit_count(), twice.bit_count(), least
+
+
+def shannon_counts_lists(free: int, cubes) -> tuple[int, int, int | None]:
+    """_shannon_counts with each branch's cubes in a list, filtered by a pass per split.
+
+    A branch splits on a bit its first cube fixes (in lo, or outside hi):
+    the two halves are disjoint, and each keeps only the cubes that allow
+    its value of the bit.  A branch where two or more cubes fix no free bit
+    is covered twice over; where exactly one does, it is covered once, and
+    the union of the other cubes is what it repeats, counted on as a plain
+    union.  Two cubes or fewer are counted by inclusion-exclusion.  The
+    stack depth stays at most the popcount of free.  Each branch carries
+    `on`, its split bits set to 1: the smallest subset it holds of a cube
+    (lo, hi) is on | lo & free, and of the whole branch `on`.  The cubes
+    are sorted once, the most free bits first, so that the cost does not
+    follow the order they come in.
+    """
+    covered, repeated, least = 0, 0, free + 1  # least starts above every subset of free
+    cubes = sorted(cubes, key=lambda cube: (free & cube[1] & ~cube[0]).bit_count(), reverse=True)
+    stack = [(free, cubes, True, 0)]  # True: count both; False: the union into repeated
+    while stack:
+        free, cubes, both, on = stack.pop()
+        if len(cubes) < 3:
+            sizes = meet = 0
+            for lo, hi in cubes:
+                sizes += 1 << (free & hi & ~lo).bit_count()
+                if not both and on | lo & free < least:
+                    least = on | lo & free
+            if len(cubes) == 2:
+                (lo, hi), (lo_b, hi_b) = cubes
+                lo |= lo_b
+                hi &= hi_b
+                if not free & lo & ~hi:
+                    meet = 1 << (free & hi & ~lo).bit_count()
+                    if both and on | lo & free < least:
+                        least = on | lo & free
+            if both:
+                covered += sizes - meet
+                repeated += meet
+            else:
+                repeated += sizes - meet
+            continue
+        fixed = [free & (lo | ~hi) for lo, hi in cubes]
+        whole = fixed.count(0)
+        if whole:
+            size = 1 << free.bit_count()
+            if not both or whole > 1:
+                repeated += size
+                if on < least:
+                    least = on
+            if both:
+                covered += size
+                if whole == 1:
+                    stack.append((free, [c for c, f in zip(cubes, fixed) if f], False, on))
+            continue
+        bit = fixed[0] & -fixed[0]
+        free ^= bit
+        stack.append((free, [c for c in cubes if not c[0] & bit], both, on))  # bit off
+        stack.append((free, [c for c in cubes if c[1] & bit], both, on | bit))  # bit on
+    return covered, repeated, least if repeated else None
 
 
 def _mask_bits(mask: int):

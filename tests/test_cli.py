@@ -524,6 +524,16 @@ class TestExitCodes:
             assert (captured.out, captured.err) == (
                 "", f"usage error: {flag} applies with --family only\n")
 
+    @pytest.mark.parametrize("bound", ["60", "25", "-3"])
+    def test_verify_refuses_an_oracle_bound_with_a_family(self, capsys, bound):
+        # it used to be ignored, with exit 0, where a file exits 1 on 60 and -3
+        assert run(["verify", "--family", "kn", "--n", "3", "--oracle-bound", bound]) == 64
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "usage error: --oracle-bound applies to a file only\n")
+        assert run(["verify", "--family", "kn", "--n", "3"]) == 0  # without it, the family runs
+        capsys.readouterr()
+
     def test_subprocess_entry_point(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("3 3\n1 2\n1 3\n2 3\n")
