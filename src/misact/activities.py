@@ -27,6 +27,7 @@ from .graph import (
     _WORD_BITS,
     _bits,
     _is_independent_mask,
+    _is_maximal_independent_mask,
     _mask_bytes,
     _members,
     _mis_by_pivot,
@@ -129,9 +130,9 @@ def _orientation(G: Graph, perm: Sequence[int] | None = None) -> list[int]:
 
 def _activity_masks(G: Graph, m: int, up: list[int] | None = None) -> tuple[int, int]:
     """(Int, Ext) of the independent set m under the orientation `up`, by default
-    the vertex numbers' (_orientation): _trial_masks on its one member table."""
-    [(lo, hi)] = _trial_masks(_member_tables(G, [m]), _orientation(G) if up is None else up)
-    return m ^ lo, hi ^ m
+    the vertex numbers' (_orientation): the cover kernel on its one set, in O(n + m)."""
+    [i], [e], _ = _activity_planes(G, [m], _orientation(G) if up is None else up)
+    return i, e
 
 
 def int_active(G: Graph, A: Iterable[int]) -> frozenset[int]:
@@ -214,7 +215,7 @@ class Cover:
 def interval_of(G: Graph, A: Iterable[int]) -> ActivityReport:
     """Activity report of a maximal independent set A."""
     m = _vertex_set_mask(G, A)
-    if not is_maximal_independent(G, set_of(m)):
+    if not _is_maximal_independent_mask(G, m):
         raise ValueError(f"{sorted(set_of(m))} is not a maximal independent set")
     return ActivityReport(m, *_activity_masks(G, m))
 
@@ -254,13 +255,13 @@ def _activity_planes(
     return _columns(ints, len(gens)), _columns(ext, len(gens)), (lowers, uppers)
 
 
-def _member_tables(G: Graph, gens: list[int]) -> list[tuple[int, list[tuple[int, int, int]]]]:
-    """The label-free part of each set's activities, for _trial_masks.
+def _member_tables(G: Graph, gens: list[int]) -> list[tuple[int, list[tuple[int, int]]]]:
+    """The label-free part of each set's activities, for _trial_batch.
 
     Per independent set m in `gens`: m and, for each member v with
-    neighbours, (v, bit of v, the private neighbours of v), the neighbours u
-    with N(u) & m = {v}: those alone can replace v.  An isolated member has
-    no activity and no row.
+    neighbours, (v, the private neighbours of v), the neighbours u with
+    N(u) & m = {v}: those alone can replace v.  An isolated member has no
+    activity and no row.
     """
     adj = G.adj_mask
     tables = []
@@ -273,31 +274,9 @@ def _member_tables(G: Graph, gens: list[int]) -> list[tuple[int, list[tuple[int,
             for u in _members(adj[v]):
                 if adj[u] & m == bit:
                     private |= 1 << (u - 1)
-            rows.append((v, bit, private))
+            rows.append((v, private))
         tables.append((m, rows))
     return tables
-
-
-def _trial_masks(
-    tables: list[tuple[int, list[tuple[int, int, int]]]], up: list[int]
-) -> list[tuple[int, int]]:
-    """(A - Int(A), A + Ext(A)) of each set in `tables` under the orientation `up`.
-
-    up[v] holds the neighbours of v labelled above it (_orientation).  The
-    upper end adds them for every member v (Ext), and v is internally
-    passive, so in the lower end, when up[v] meets its private neighbours.
-    The same masks as _activity_planes, in sum |A| steps over the members.
-    """
-    masks = []
-    for m, rows in tables:
-        lo, hi = 0, m
-        for v, bit, private in rows:
-            above = up[v]
-            hi |= above
-            if private & above:
-                lo |= bit
-        masks.append((lo, hi))
-    return masks
 
 
 # _trial_batch lays out each interval end as one little-endian word of 8, 16 or _END_BITS bits.
@@ -306,22 +285,25 @@ _HIGH_DIGITS = bytes(48 + (x >> 7) for x in range(256))  # each byte to the digi
 
 
 def _trial_batch(
-    G: Graph, tables: list[tuple[int, list[tuple[int, int, int]]]], perms: list[tuple[int, ...]]
+    G: Graph, tables: list[tuple[int, list[tuple[int, int]]]], perms: list[tuple[int, ...]]
 ) -> tuple[list[int], Callable[[int], list[tuple[int, int]]]]:
-    """_trial_masks for many labellings at once, bit-sliced: bit t of a plane is perms[t]'s.
+    """Interval ends of the sets in `tables` under many labellings, bit-sliced: bit t of a
+    plane is perms[t]'s.
 
     Each edge {u < w} has one plane, of the labellings that put w above u:
     with one byte per labelling, the labels of w, each raised by 128, less
     those of u keep bit 7 of a byte exactly there.  keys[t], the transpose of
     the edge planes (_columns), is perms[t]'s orientation as one int: bit e
-    for the e-th edge of G.edges().  ends(t) is _trial_masks(tables,
-    _orientation(G, perms[t])).  Its first call builds each set's end planes
-    from the edge planes: in the upper end, the members' and those of each
-    neighbour above a member; in the lower end, those of the members with a
-    private neighbour above them.  Each end takes the rows of one word of 8,
-    16 or _END_BITS bits, so that every call reads perms[t]'s column of all
-    the rows as one int and unpacks its words, in a fixed number of calls
-    for any number of sets.
+    for the e-th edge of G.edges().  ends(t) is (A - Int(A), A + Ext(A)) of
+    each set A under perms[t]: a member's neighbours labelled above it are
+    externally active, and it is internally passive when one of them is
+    private.  Its first call builds each set's end planes from the edge
+    planes: in the upper end, the members' and those of each neighbour above
+    a member; in the lower end, those of the members with a private
+    neighbour above them.  Each end takes the rows of one word of 8, 16 or
+    _END_BITS bits, so that every call reads perms[t]'s column of all the
+    rows as one int and unpacks its words, in a fixed number of calls for
+    any number of sets.
     """
     n, width, adj = G.n, len(perms), G.adj_mask
     # byte t of lab[v] holds the label of v in perms[t], counted from the last byte, so
@@ -348,7 +330,7 @@ def _trial_batch(
                 rows = [0] * (2 * bits)  # rows[v - 1]: v's lower-end plane; rows[hi + v]: upper
                 for v in _members(m):
                     rows[hi + v] = full
-                for v, _, private in members:
+                for v, private in members:
                     for w, p in above[v]:
                         rows[hi + w] |= p
                         if private >> (w - 1) & 1:

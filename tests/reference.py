@@ -40,7 +40,6 @@ from misact.activities import (
 from misact.graph import set_of
 from misact.io import _byte_lines, _list_starts, verdict_report
 from misact.search import LabellingSearchResult
-from misact.verify import _index_planes
 
 
 def subsets(n: int):
@@ -411,7 +410,7 @@ def plane_counts_and(free: int, cubes) -> tuple[int, int, int | None]:
     lowest bit of `twice`, None when it is 0.
     """
     n = free.bit_length()
-    planes = _index_planes(n)
+    planes = [sum(1 << x for x in range(1 << n) if x >> i & 1) for i in range(n)]
     outside = [~p for p in planes]
     every = (1 << (1 << n)) - 1
     once = twice = 0

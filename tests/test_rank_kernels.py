@@ -12,7 +12,7 @@ from misact.activities import (
     _activity_planes,
     _member_tables,
     _orientation,
-    _trial_masks,
+    _trial_batch,
 )
 from misact.graph import _bits, _mis_masks
 
@@ -77,7 +77,8 @@ def test_rank_kernels_match_the_relabelled_graph(g):
         expected = [activity_masks_loop(h, renamed(m, perm), rank_masks(range(1, g.n + 1)))
                     for m in gens]
         ints, exts, _ = _activity_planes(g, gens, up)
-        trial = [(m ^ lo, hi ^ m) for m, (lo, hi) in zip(gens, _trial_masks(tables, up))]
+        ends = _trial_batch(g, tables, [perm])[1](0)
+        trial = [(m ^ lo, hi ^ m) for m, (lo, hi) in zip(gens, ends)]
         below = rank_masks(perm)
         loop = [activity_masks_loop(g, m, below) for m in gens]
         single = [_activity_masks(g, m, up) for m in gens]

@@ -1,21 +1,33 @@
-"""The labelling search's trial kernels, and the cover kernel, against the reference loop."""
+"""The labelling search's batch kernel, and the cover kernel, against the reference loop."""
 
 import random
 
 import pytest
 
-from misact import Graph, complete_graph, random_graph
+import misact.activities
+from misact import (
+    Graph,
+    complete_graph,
+    enumerate_maximal_independent_sets,
+    ext_active,
+    find_complete,
+    int_active,
+    interval_of,
+    is_complete,
+    is_internally_complete,
+    random_graph,
+    singleton_generator_for,
+)
 from misact.activities import (
     _INDEX_MIN,
     _activity_planes,
     _member_tables,
     _orientation,
     _trial_batch,
-    _trial_masks,
 )
 from misact.graph import _mis_by_pivot
 
-from reference import activity_masks_loop, rank_masks
+from reference import activity_masks_loop, brute_ext, brute_int, rank_masks
 from sample_graphs import disjoint_cliques
 
 SEED = 20261021
@@ -67,13 +79,11 @@ def test_random_graphs_reach_both_sides_of_the_crossover():
 def test_trial_masks_match_the_activity_kernels(g):
     rng = random.Random(g.n * 1000 + g.edge_count())
     gens = list(_mis_by_pivot(g))
-    tables = _member_tables(g, gens)
     perms = [list(range(1, g.n + 1)), list(range(g.n, 0, -1))]
     for _ in range(4):
         perms.append(rng.sample(range(1, g.n + 1), g.n))
     for perm in perms:
         up, expected = _orientation(g, perm), expected_masks(g, gens, perm)
-        assert _trial_masks(tables, up) == expected, perm
         ints, exts, _ = _activity_planes(g, gens, up)
         assert [(m & ~i, m | e) for m, i, e in zip(gens, ints, exts)] == expected, perm
 
@@ -97,11 +107,48 @@ def orientation_key(g: Graph, perm) -> int:
 @pytest.mark.parametrize("g", batch_graphs(), ids=lambda g: f"n{g.n}m{g.edge_count()}")
 def test_trial_batch_matches_the_trial_kernel(g, width):
     """Every labelling of a batch gets the orientation key and the interval ends that
-    the one-labelling kernel gives it, read in any order."""
+    the reference loop gives it, read in any order."""
     rng = random.Random(g.n * 1000 + g.edge_count() + width)
     perms = [tuple(rng.sample(range(1, g.n + 1), g.n)) for _ in range(width)]
-    tables = _member_tables(g, list(_mis_by_pivot(g)))
-    keys, ends = _trial_batch(g, tables, perms)
+    gens = list(_mis_by_pivot(g))
+    keys, ends = _trial_batch(g, _member_tables(g, gens), perms)
     assert keys == [orientation_key(g, perm) for perm in perms]
     for t in rng.sample(range(width), width):
-        assert ends(t) == _trial_masks(tables, _orientation(g, perms[t])), perms[t]
+        assert ends(t) == expected_masks(g, gens, perms[t]), perms[t]
+
+
+def refuse_member_tables(*args):
+    raise AssertionError("a single set's activities read no member table")
+
+
+@pytest.mark.parametrize(
+    "g",
+    STRUCTURED + [star(n, c) for n in range(1, 10) for c in range(1, n + 1)],
+    ids=[f"structured{i}" for i in range(len(STRUCTURED))]
+    + [f"star{n}c{c}" for n in range(1, 10) for c in range(1, n + 1)],
+)
+def test_single_sets_take_the_cover_kernel(g, monkeypatch):
+    """The single-set calls give the definitions' activities without the member tables,
+    which only the search batches read: on every maximal independent set, and on it
+    less its largest member."""
+    monkeypatch.setattr(misact.activities, "_member_tables", refuse_member_tables)
+    full = frozenset(g.vertices)
+    complete = []
+    for a in enumerate_maximal_independent_sets(g):
+        i, e = brute_int(g, a), brute_ext(g, a)
+        for s in (a, a - {max(a, default=0)}):
+            assert int_active(g, s) == brute_int(g, s), s
+            assert ext_active(g, s) == brute_ext(g, s), s
+            assert ext_active(g, s, mode="reversed") == {
+                u for u in full - s if any(u < v for v in g.neighbors(u) & s)
+            }, s
+        report = interval_of(g, a)
+        assert (report.generator, report.int_, report.ext) == (a, i, e)
+        assert is_internally_complete(g, a) == (i == a)
+        assert is_complete(g, a) == (i == a and a | e == full)
+        if i == a and a | e == full:
+            complete.append(a)
+    assert find_complete(g) == (complete[0] if complete else None)
+    for v in g.vertices:
+        a = singleton_generator_for(g, v)
+        assert v in a and a - brute_int(g, a) <= {v}, (v, a)

@@ -22,10 +22,9 @@ from misact.activities import (
     _generators_containing,
     _interval_masks,
     _member_tables,
-    _orientation,
     _plane_counts,
     _shannon_counts,
-    _trial_masks,
+    _trial_batch,
 )
 from misact.graph import _mis_by_pivot, set_of
 from misact.pruned import random_pruned_instance
@@ -265,8 +264,8 @@ def test_shannon_counts_do_not_follow_the_cube_order():
         g = random_graph(n, 0.3, rng=rng)
         tables = _member_tables(g, list(_mis_by_pivot(g)))
         for _ in range(3):
-            up = _orientation(g, rng.sample(range(1, n + 1), n))
-            cases.append(((1 << n) - 1, _trial_masks(tables, up)))
+            perm = tuple(rng.sample(range(1, n + 1), n))
+            cases.append(((1 << n) - 1, _trial_batch(g, tables, [perm])[1](0)))
     for _ in range(40):
         n = rng.randint(1, 10)
         cases.append((rng.getrandbits(n), [random_cube(rng, n) for _ in range(rng.randint(0, 12))]))
