@@ -17,7 +17,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import or_, xor
-from struct import Struct
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .graph import (
@@ -29,7 +28,6 @@ from .graph import (
     _is_independent_mask,
     _is_maximal_independent_mask,
     _mask_bytes,
-    _members,
     _mis_by_pivot,
     _mis_masks,
     _vertex_set_mask,
@@ -220,90 +218,77 @@ def interval_of(G: Graph, A: Iterable[int]) -> ActivityReport:
     return ActivityReport(m, *_activity_masks(G, m))
 
 
-def _activity_planes(
-    G: Graph, gens: list[int], up: list[int]
-) -> tuple[list[int], list[int], _Planes]:
-    """(Int, Ext) masks of each independent set in `gens`, by bit slicing, and its _Planes.
+def _end_planes(
+    G: Graph, a: list[int], edges: list[tuple[int, int, int]], every: int
+) -> _Planes:
+    """The activity rule, bit-sliced: the planes of the interval ends of many columns.
 
-    Bit j of plane A_v says whether v lies in gens[j].  For each vertex u,
-    one pass over its neighbours, those below u in the orientation `up`
-    (_orientation) first, finds the sets where u has one (`one`), two or
-    more (`two`), and one below u (`low`).  Outside A_u, `low` makes u
-    externally active; without `two`, u can also replace its one neighbour
-    v below it, which makes v internally passive.  The lower ends' planes
+    A column is an independent set under an orientation of the edges, and
+    `every` has one bit per column.  Bit c of plane a[v] says whether v lies
+    in column c's set (index 0 is unused), and `edges` holds (u, w, p) for
+    each edge {u < w}, where p is the plane of the columns whose orientation
+    puts w above u.  For each vertex u, one pass over its neighbours finds
+    the columns where u has one (`one`), two or more (`two`), and one below u
+    (`low`) neighbour in the set.  Outside the set, `low` makes u externally
+    active; without `two`, u can also replace its one neighbour v, which
+    `low` puts below u, so v is internally passive.  The lower ends' planes
     are the passive ones, the upper ends' a[u] | ext[u].
     """
-    adj, a = G.adj_mask, [0, *_columns(gens, G.n)]
+    down = [[] for _ in a]  # down[u]: (v, the plane of the columns that put v below u)
+    for u, w, p in edges:
+        down[w].append((u, p))
+        down[u].append((w, every ^ p))
     passive = [0] * (G.n + 1)
     ext = []
     for u in G.vertices:
-        lower = adj[u] ^ up[u]
-        one = two = 0
-        for v in _bits(lower):
+        one = two = low = 0
+        for v, d in down[u]:
             two |= one & a[v]
             one |= a[v]
-        low = one
-        for v in _bits(up[u]):
-            two |= one & a[v]
-            one |= a[v]
+            low |= a[v] & d
         ext.append(e := low & ~a[u])
         if single := e & ~two:
-            for v in _bits(lower):
+            for v, _ in down[u]:  # in the columns of single, only the one neighbour has a[v]
                 passive[v] |= single & a[v]
-    lowers, uppers = passive[1:], list(map(or_, a[1:], ext))  # passive[v] lies in a[v]
-    ints = list(map(xor, a[1:], lowers))
-    return _columns(ints, len(gens)), _columns(ext, len(gens)), (lowers, uppers)
+    return passive[1:], list(map(or_, a[1:], ext))  # passive[v] lies in a[v]
 
 
-def _member_tables(G: Graph, gens: list[int]) -> list[tuple[int, list[tuple[int, int]]]]:
-    """The label-free part of each set's activities, for _trial_batch.
-
-    Per independent set m in `gens`: m and, for each member v with
-    neighbours, (v, the private neighbours of v), the neighbours u with
-    N(u) & m = {v}: those alone can replace v.  An isolated member has no
-    activity and no row.
-    """
-    adj = G.adj_mask
-    tables = []
-    for m in gens:
-        rows = []
-        for v in _members(m):
-            if not adj[v]:
-                continue
-            bit, private = 1 << (v - 1), 0
-            for u in _members(adj[v]):
-                if adj[u] & m == bit:
-                    private |= 1 << (u - 1)
-            rows.append((v, private))
-        tables.append((m, rows))
-    return tables
+def _activity_planes(
+    G: Graph, gens: list[int], up: list[int]
+) -> tuple[list[int], list[int], _Planes]:
+    """(Int, Ext) masks of each independent set in `gens` under the orientation `up`
+    (_orientation), and its _Planes: the kernel (_end_planes) with one column per set,
+    where every edge is oriented one way in every column."""
+    adj, k = G.adj_mask, len(gens)
+    a, full = [0, *_columns(gens, G.n)], (1 << k) - 1
+    edges = [(u, w, full if up[u] >> (w - 1) & 1 else 0)
+             for u in G.vertices for w in _bits(adj[u] >> u << u)]
+    lowers, uppers = planes = _end_planes(G, a, edges, full)
+    ints, exts = list(map(xor, a[1:], lowers)), list(map(xor, a[1:], uppers))
+    return _columns(ints, k), _columns(exts, k), planes
 
 
-# _trial_batch lays out each interval end as one little-endian word of 8, 16 or _END_BITS bits.
-_END_BITS = 32
 _HIGH_DIGITS = bytes(48 + (x >> 7) for x in range(256))  # each byte to the digit of its bit 7
 
 
 def _trial_batch(
-    G: Graph, tables: list[tuple[int, list[tuple[int, int]]]], perms: list[tuple[int, ...]]
+    G: Graph, gens: list[int], perms: list[tuple[int, ...]]
 ) -> tuple[list[int], Callable[[int], list[tuple[int, int]]]]:
-    """Interval ends of the sets in `tables` under many labellings, bit-sliced: bit t of a
-    plane is perms[t]'s.
+    """Orientation keys and interval ends of the independent sets `gens` under many
+    labellings, bit-sliced: bit t of an edge plane is perms[t]'s.
 
-    Each edge {u < w} has one plane, of the labellings that put w above u:
-    with one byte per labelling, the labels of w, each raised by 128, less
-    those of u keep bit 7 of a byte exactly there.  keys[t], the transpose of
-    the edge planes (_columns), is perms[t]'s orientation as one int: bit e
-    for the e-th edge of G.edges().  ends(t) is (A - Int(A), A + Ext(A)) of
-    each set A under perms[t]: a member's neighbours labelled above it are
-    externally active, and it is internally passive when one of them is
-    private.  Its first call builds each set's end planes from the edge
-    planes: in the upper end, the members' and those of each neighbour above
-    a member; in the lower end, those of the members with a private
-    neighbour above them.  Each end takes the rows of one word of 8, 16 or
-    _END_BITS bits, so that every call reads perms[t]'s column of all the
-    rows as one int and unpacks its words, in a fixed number of calls for
-    any number of sets.
+    Each label takes one byte, so every label must lie below 128, as it does
+    for the at most 25 vertices of a search (search._check_exact).  Each edge
+    {u < w} has one plane, of the labellings that put w above u: with one
+    byte per labelling, the labels of w, each raised by 128, less those of u
+    keep bit 7 of a byte exactly there.  keys[t], the transpose of the edge
+    planes (_columns), is perms[t]'s orientation as one int: bit e for the
+    e-th edge of G.edges().  ends(t) is (A - Int(A), A + Ext(A)) of each set
+    A of gens under perms[t].  Its first call runs the kernel (_end_planes)
+    once on len(gens) * B columns, B = len(perms): bit j * B + t is gens[j]
+    under perms[t].  So each set's plane repeats its bit B times, and one
+    multiplication repeats each edge plane once per set.  The transposed end
+    planes hold one mask per column.
     """
     n, width, adj = G.n, len(perms), G.adj_mask
     # byte t of lab[v] holds the label of v in perms[t], counted from the last byte, so
@@ -311,39 +296,26 @@ def _trial_batch(
     labels = b"".join(map(bytes, reversed(perms)))
     raised = int.from_bytes(b"\x80" * width, "big")
     lab = [0, *(int.from_bytes(labels[v::n], "big") for v in range(n))]
-    full, above, planes = (1 << width) - 1, [[] for _ in lab], []
-    for u in G.vertices:  # above[u]: (w, the plane of w labelled above u) per neighbour w
+    edges = []  # (u, w, the plane of w labelled above u) per edge {u < w}
+    for u in G.vertices:
         for w in _bits(adj[u] >> u << u):
             diff = ((lab[w] | raised) - lab[u]).to_bytes(width, "big")
-            planes.append(p := int(diff.translate(_HIGH_DIGITS), 2))
-            above[u].append((w, p))
-            above[w].append((u, full ^ p))
-    bits = 8 if n <= 8 else 16 if n <= 16 else _END_BITS  # each end's rows: one word's bits
-    words = Struct(f"<{2 * len(tables)}{'BHI'[bits // 16]}").unpack
-    hi, data = bits - 1, None  # data: every set's rows, (bytes, bytes per row), on demand
+            edges.append((u, w, int(diff.translate(_HIGH_DIGITS), 2)))
+    columns = None  # (lower ends, upper ends), one mask per column, on demand
 
     def ends(t: int) -> list[tuple[int, int]]:
-        nonlocal data
-        if data is None:
-            pieces = []  # per set, its rows' bytes, the last row first
-            for m, members in reversed(tables):
-                rows = [0] * (2 * bits)  # rows[v - 1]: v's lower-end plane; rows[hi + v]: upper
-                for v in _members(m):
-                    rows[hi + v] = full
-                for v, private in members:
-                    for w, p in above[v]:
-                        rows[hi + w] |= p
-                        if private >> (w - 1) & 1:
-                            rows[v - 1] |= p
-                piece, size = _mask_bytes(reversed(rows), width)
-                pieces.append(piece)
-            data = b"".join(pieces), size
-        packed, size = data
-        column = int(packed[t >> 3::size].translate(_BIT_DIGITS[t & 7]), 2)
-        pairs = iter(words(column.to_bytes(bits // 4 * len(tables), "little")))
-        return list(zip(pairs, pairs))
+        nonlocal columns
+        if columns is None:
+            size = len(gens) * width
+            every = (1 << size) - 1
+            repeat = every // ((1 << width) - 1)  # bit j * width for each set j
+            a = [0, *_columns([m for m in gens for _ in range(width)], n)]
+            repeated = [(u, w, p * repeat) for u, w, p in edges]
+            columns = tuple(_columns(planes, size) for planes in _end_planes(G, a, repeated, every))
+        los, his = columns
+        return list(zip(los[t::width], his[t::width]))
 
-    return _columns(planes, width), ends
+    return _columns([p for _, _, p in edges], width), ends
 
 
 def cover(G: Graph) -> Cover:

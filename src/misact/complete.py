@@ -31,6 +31,7 @@ from .activities import (
 from .graph import (
     Graph,
     _bits,
+    _is_maximal_independent_mask,
     enumerate_maximal_independent_sets,  # noqa: F401  bench/spans.py traces it here
     is_maximal_independent,
     set_of,
@@ -151,7 +152,7 @@ def singleton_generator_for(G: Graph, v: int) -> frozenset[int]:
     G._check_vertex(v)
     bit = 1 << (v - 1)
     m = _locate_generator_mask(G, bit)
-    if not is_maximal_independent(G, set_of(m)):
+    if not _is_maximal_independent_mask(G, m):
         raise RuntimeError(f"construction for vertex {v} is not maximal")
     low = m & ~_activity_masks(G, m)[0]
     if low not in (0, bit):

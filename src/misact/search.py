@@ -6,8 +6,8 @@ mode to its source of candidate permutations, called as source(n, budget,
 seed), and to whether its walk stops at the first partition.  A source is a
 plain function, not a generator, so that it checks the mode's arguments
 before any enumeration.  One loop ranks every mode's trials, which _trials
-counts in batches.  The kernels it runs stay in activities: _member_tables,
-_trial_batch and _repeats.
+counts in batches.  The kernels it runs stay in activities: _trial_batch,
+which runs the activity kernel, and _repeats.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from typing import Iterable, Iterator
 from .activities import (
     DEFAULT_ORACLE_BOUND,
     PartitionVerdict,
-    _END_BITS,
-    _member_tables,
     _repeats,
     _trial_batch,
     cover,
@@ -38,8 +36,8 @@ FACTORIAL_BOUND = 9
 # at n = 24, m = 139); later ones are counted anew.
 _ORIENTATIONS_KEPT = 4096
 # The search takes its labellings in batches of at most _BATCH, and fewer when the
-# sets are many: a batch's interval-end planes hold 2 * _END_BITS bits per set and labelling.
-_BATCH, _BATCH_BITS = 256, 1 << 25
+# sets are many: a batch's kernel runs on at most _BATCH_COLUMNS (set, labelling) columns.
+_BATCH, _BATCH_COLUMNS = 256, 1 << 16
 
 
 @dataclass(frozen=True)
@@ -102,12 +100,12 @@ def _trials(
     G: Graph, candidates: Iterable[tuple[int, ...]]
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """(repeat count, permutation) of each candidate in turn, counted in batches (_trial_batch)."""
-    tables = _member_tables(G, list(_mis_by_pivot(G)))
-    size = max(1, min(_BATCH, _BATCH_BITS // (2 * _END_BITS * len(tables))))
+    gens = list(_mis_by_pivot(G))
+    size = max(1, min(_BATCH, _BATCH_COLUMNS // len(gens)))
     counts: dict[int, int] = {}  # repeat count by orientation key, bounded
     candidates = iter(candidates)
     while batch := list(islice(candidates, size)):
-        keys, ends = _trial_batch(G, tables, batch)
+        keys, ends = _trial_batch(G, gens, batch)
         for t, (perm, key) in enumerate(zip(batch, keys)):
             count = counts.get(key)
             if count is None:
@@ -136,15 +134,14 @@ def search_labelling(
     so runs can be reproduced.  Only random mode takes `budget` and `seed`.
 
     A relabelling maps the maximal independent sets onto themselves, so they
-    are enumerated once, and the label-free part of their activities, each
-    member's neighbours and private neighbours, is tabled once per search
-    (_member_tables).  Each trial reads its labels only through the
-    permutation's orientation and runs every check of the verdict on the
+    are enumerated once per search.  Each trial reads its labels only through
+    the permutation's orientation and runs every check of the verdict on the
     original masks (_repeats): the repeat count does not depend on vertex
-    names or entry order.  The trials come in batches of up to _BATCH, whose
-    orientations and interval ends one bit-sliced kernel gives (_trial_batch);
-    the ends are built only for a batch where some orientation is not kept,
-    and unpacked only for those trials.  Its lattice-plane count
+    names or entry order.  The trials come in batches of up to _BATCH, fewer
+    when a batch would pass _BATCH_COLUMNS (set, labelling) columns, whose
+    orientations and interval ends the bit-sliced activity kernel gives
+    (_trial_batch); the ends are built only for a batch where some
+    orientation is not kept.  Its lattice-plane count
     takes each cube's plane from a cache of split products (_cube_plane),
     since most cubes recur from trial to trial.  Permutations with one
     orientation have one count, so the search keeps the counts of the first

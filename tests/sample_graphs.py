@@ -109,6 +109,15 @@ def disjoint_cliques(sizes: list[int]) -> Graph:
     return Graph(start - 1, edges)
 
 
+def cycle_beside_triangles() -> Graph:
+    """C8 on 1-8 beside three triangles on 9-17: 10 * 27 = 270 maximal independent
+    sets, more than the 256 labellings of a full search batch.  No labelling's cover
+    partitions, since none of C8's does."""
+    triangles = disjoint_cliques([3, 3, 3])
+    return Graph(17, [(v, v % 8 + 1) for v in range(1, 9)]
+                 + [(u + 8, w + 8) for u, w in triangles.edges()])
+
+
 def all_named_graphs() -> list[Graph]:
     return [
         tailed_triangle(),

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import misact.complete
 from misact import (
     Graph,
     complete_graph,
@@ -234,6 +235,19 @@ class TestSingletonGenerator:
         A = singleton_generator_for(g, 3)
         assert 3 in A
         assert 3 in int_active(g, A)
+
+    def test_maximality_checked_on_the_mask(self, monkeypatch):
+        """The located generator's maximality is checked on its mask, with no frozenset
+        round trip through is_maximal_independent."""
+
+        def refuse(*args):
+            raise AssertionError("maximality checked through a vertex set")
+
+        monkeypatch.setattr(misact.complete, "is_maximal_independent", refuse)
+        for g in (tailed_triangle(), complete_graph(5), Graph(6, [(1, 6), (2, 6), (3, 6)])):
+            for v in g.vertices:
+                A = singleton_generator_for(g, v)
+                assert v in A and A - int_active(g, A) <= {v}
 
     @settings(max_examples=40, deadline=None)
     @given(graphs())

@@ -11,10 +11,10 @@ import misact.search
 from misact import Graph, complete_graph, random_graph, relabel, search_labelling
 from misact.activities import _INDEX_MIN, _PLANE_MAX
 from misact.graph import _mis_masks
-from misact.search import _BATCH, _shuffles
+from misact.search import _BATCH, _BATCH_COLUMNS, _shuffles
 
 from reference import search_labelling_loop
-from sample_graphs import dense_five_overlapping, disjoint_cliques, wheel_five
+from sample_graphs import cycle_beside_triangles, dense_five_overlapping, disjoint_cliques, wheel_five
 
 SEED = 20261018
 
@@ -233,11 +233,29 @@ def test_shuffles_draw_as_random_shuffle(seed):
 
 
 @pytest.mark.parametrize("budget", [1, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1])
-@pytest.mark.parametrize("g", [random_graph(8, 0.4, seed=SEED), STRUCTURED[13]], ids=repr)
+@pytest.mark.parametrize(
+    "g", [random_graph(8, 0.4, seed=SEED), STRUCTURED[13], cycle_beside_triangles()], ids=repr
+)
 def test_random_budgets_at_the_batch_edges(g, budget):
     r = search_labelling(g, budget=budget, mode="random", seed=4)
     assert r.trials == budget
     assert r == search_labelling_loop(g, budget=budget, mode="random", seed=4)
+
+
+def test_many_sets_shorten_the_batches(monkeypatch):
+    """With 270 sets, a batch holds the labellings of at most _BATCH_COLUMNS columns,
+    fewer than _BATCH, and the search still picks the reference loop's labelling."""
+    sizes, trial_batch = [], misact.search._trial_batch
+
+    def recorded(G, gens, perms):
+        sizes.append(len(perms))
+        return trial_batch(G, gens, perms)
+
+    monkeypatch.setattr(misact.search, "_trial_batch", recorded)
+    g, size = cycle_beside_triangles(), _BATCH_COLUMNS // 270
+    r = search_labelling(g, budget=513, mode="random", seed=4)
+    assert size < _BATCH and sizes == [size, size, 513 - 2 * size]
+    assert r == search_labelling_loop(g, budget=513, mode="random", seed=4)
 
 
 @pytest.mark.parametrize("batch", [1, 2, 3, 5])

@@ -9,7 +9,7 @@ from itertools import product
 import pytest
 
 from misact import cover, random_graph
-from misact.activities import _interval_masks, _member_tables, _shannon_counts, _trial_batch
+from misact.activities import _interval_masks, _shannon_counts, _trial_batch
 from misact.graph import _mis_by_pivot
 
 from reference import shannon_counts_lists
@@ -61,6 +61,6 @@ def test_search_trial_cubes(n, p):
     rng = random.Random(n)
     g = random_graph(n, p, rng=rng)
     perms = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(6)]
-    _, ends = _trial_batch(g, _member_tables(g, list(_mis_by_pivot(g))), perms)
+    _, ends = _trial_batch(g, list(_mis_by_pivot(g)), perms)
     for t in range(len(perms)):
         assert_same((1 << n) - 1, ends(t))

@@ -21,14 +21,13 @@ from misact import (
 from misact.activities import (
     _INDEX_MIN,
     _activity_planes,
-    _member_tables,
     _orientation,
     _trial_batch,
 )
 from misact.graph import _mis_by_pivot
 
 from reference import activity_masks_loop, brute_ext, brute_int, rank_masks
-from sample_graphs import disjoint_cliques
+from sample_graphs import cycle_beside_triangles, disjoint_cliques
 
 SEED = 20261021
 
@@ -89,11 +88,11 @@ def test_trial_masks_match_the_activity_kernels(g):
 
 
 def batch_graphs() -> list[Graph]:
-    """Graphs on either side of each end word's width (8, 16 and 32 bits), with n = 0,
-    n = 1 and isolated vertices among them."""
+    """Graphs of 0 to 25 vertices, with n = 1 and isolated vertices among them, and one
+    with more sets than the labellings of a full search batch."""
     rng = random.Random(SEED + 1)
     return STRUCTURED + [
-        Graph(17, [(1, 17), (2, 9)]), disjoint_cliques([3] * 5),
+        Graph(17, [(1, 17), (2, 9)]), disjoint_cliques([3] * 5), cycle_beside_triangles(),
         *(random_graph(n, p, rng=rng) for n in (2, 8, 9, 16, 17, 25) for p in (0.2, 0.5)),
     ]
 
@@ -111,14 +110,14 @@ def test_trial_batch_matches_the_trial_kernel(g, width):
     rng = random.Random(g.n * 1000 + g.edge_count() + width)
     perms = [tuple(rng.sample(range(1, g.n + 1), g.n)) for _ in range(width)]
     gens = list(_mis_by_pivot(g))
-    keys, ends = _trial_batch(g, _member_tables(g, gens), perms)
+    keys, ends = _trial_batch(g, gens, perms)
     assert keys == [orientation_key(g, perm) for perm in perms]
     for t in rng.sample(range(width), width):
         assert ends(t) == expected_masks(g, gens, perms[t]), perms[t]
 
 
-def refuse_member_tables(*args):
-    raise AssertionError("a single set's activities read no member table")
+def refuse_trial_batch(*args):
+    raise AssertionError("a single set's activities take no search batch")
 
 
 @pytest.mark.parametrize(
@@ -128,10 +127,9 @@ def refuse_member_tables(*args):
     + [f"star{n}c{c}" for n in range(1, 10) for c in range(1, n + 1)],
 )
 def test_single_sets_take_the_cover_kernel(g, monkeypatch):
-    """The single-set calls give the definitions' activities without the member tables,
-    which only the search batches read: on every maximal independent set, and on it
-    less its largest member."""
-    monkeypatch.setattr(misact.activities, "_member_tables", refuse_member_tables)
+    """The single-set calls give the definitions' activities without a search batch:
+    on every maximal independent set, and on it less its largest member."""
+    monkeypatch.setattr(misact.activities, "_trial_batch", refuse_trial_batch)
     full = frozenset(g.vertices)
     complete = []
     for a in enumerate_maximal_independent_sets(g):
