@@ -219,56 +219,57 @@ def interval_of(G: Graph, A: Iterable[int]) -> ActivityReport:
 
 
 def _end_planes(
-    G: Graph, a: list[int], edges: list[tuple[int, int, int]], every: int
-) -> _Planes:
+    G: Graph, gens: list[int], edges: list[tuple[int, int, int]], width: int
+) -> tuple[list[int], list[int], list[int]]:
     """The activity rule, bit-sliced: the planes of the interval ends of many columns.
 
-    A column is an independent set under an orientation of the edges, and
-    `every` has one bit per column.  Bit c of plane a[v] says whether v lies
-    in column c's set (index 0 is unused), and `edges` holds (u, w, p) for
-    each edge {u < w}, where p is the plane of the columns whose orientation
-    puts w above u.  For each vertex u, one pass over its neighbours finds
-    the columns where u has one (`one`), two or more (`two`), and one below u
-    (`low`) neighbour in the set.  Outside the set, `low` makes u externally
-    active; without `two`, u can also replace its one neighbour v, which
-    `low` puts below u, so v is internally passive.  The lower ends' planes
-    are the passive ones, the upper ends' a[u] | ext[u].
+    A column is an independent set under an orientation of the edges:
+    column j * width + t is gens[j] under orientation t.  `edges` holds
+    (u, w, p) for each edge {u < w}, where bit t of p is set when
+    orientation t puts w above u.  Bit c of the set plane a[v] says whether
+    v lies in column c's set.  At width 1 the planes come from gens as they
+    are, otherwise from each set repeated `width` times, and one
+    multiplication repeats each edge plane once per set.  One pass over the
+    edges finds, for each vertex u, the columns where u has one (`one`), two
+    or more (`two`), and one below u (`low`) neighbour in the set.  Outside
+    the set, `low` makes u externally active; without `two` (`single`), u
+    can also replace its one neighbour v, which `low` puts below u, so v is
+    internally passive: a second pass marks those.  Returns the set planes,
+    the lower ends' planes (the passive members) and the upper ends' (a |
+    low), for the vertices 1..n.
     """
-    down = [[] for _ in a]  # down[u]: (v, the plane of the columns that put v below u)
+    n = G.n
+    sets = gens if width == 1 else [m for m in gens for _ in range(width)]
+    a = [0, *_columns(sets, n)]  # index 0 is unused
+    repeat = ((1 << len(sets)) - 1) // ((1 << width) - 1)  # bit j * width for each set j
+    one, two, low = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
     for u, w, p in edges:
-        down[w].append((u, p))
-        down[u].append((w, every ^ p))
-    passive = [0] * (G.n + 1)
-    ext = []
-    for u in G.vertices:
-        one = two = low = 0
-        for v, d in down[u]:
-            two |= one & a[v]
-            one |= a[v]
-            low |= a[v] & d
-        ext.append(e := low & ~a[u])
-        if single := e & ~two:
-            for v, _ in down[u]:  # in the columns of single, only the one neighbour has a[v]
-                passive[v] |= single & a[v]
-    return passive[1:], list(map(or_, a[1:], ext))  # passive[v] lies in a[v]
+        p *= repeat
+        au, aw = a[u], a[w]
+        two[u] |= one[u] & aw
+        one[u] |= aw
+        low[u] |= aw & ~p
+        two[w] |= one[w] & au
+        one[w] |= au
+        low[w] |= au & p
+    single = [lo & ~s & ~t for lo, s, t in zip(low, a, two)]
+    passive = [0] * (n + 1)
+    for u, w, _ in edges:  # in the columns of single[w], u is w's one neighbour in the set
+        passive[u] |= single[w] & a[u]
+        passive[w] |= single[u] & a[w]
+    return a[1:], passive[1:], list(map(or_, a[1:], low[1:]))  # passive[v] lies in a[v]
 
 
 def _activity_planes(
     G: Graph, gens: list[int], up: list[int]
 ) -> tuple[list[int], list[int], _Planes]:
     """(Int, Ext) masks of each independent set in `gens` under the orientation `up`
-    (_orientation), and its _Planes: the kernel (_end_planes) with one column per set,
-    where every edge is oriented one way in every column."""
-    adj, k = G.adj_mask, len(gens)
-    a, full = [0, *_columns(gens, G.n)], (1 << k) - 1
-    edges = [(u, w, full if up[u] >> (w - 1) & 1 else 0)
-             for u in G.vertices for w in _bits(adj[u] >> u << u)]
-    lowers, uppers = planes = _end_planes(G, a, edges, full)
-    ints, exts = list(map(xor, a[1:], lowers)), list(map(xor, a[1:], uppers))
-    return _columns(ints, k), _columns(exts, k), planes
-
-
-_HIGH_DIGITS = bytes(48 + (x >> 7) for x in range(256))  # each byte to the digit of its bit 7
+    (_orientation), and its _Planes: the kernel (_end_planes) at width 1, one column
+    per set."""
+    edges = [(u, w, up[u] >> (w - 1) & 1) for u, w in G.edges()]
+    a, lowers, uppers = _end_planes(G, gens, edges, 1)
+    ints, exts = (_columns(list(map(xor, a, ends)), len(gens)) for ends in (lowers, uppers))
+    return ints, exts, (lowers, uppers)
 
 
 def _trial_batch(
@@ -285,33 +286,27 @@ def _trial_batch(
     planes (_columns), is perms[t]'s orientation as one int: bit e for the
     e-th edge of G.edges().  ends(t) is (A - Int(A), A + Ext(A)) of each set
     A of gens under perms[t].  Its first call runs the kernel (_end_planes)
-    once on len(gens) * B columns, B = len(perms): bit j * B + t is gens[j]
-    under perms[t].  So each set's plane repeats its bit B times, and one
-    multiplication repeats each edge plane once per set.  The transposed end
-    planes hold one mask per column.
+    once on the edge planes at width B = len(perms), and transposes its end
+    planes into one mask per column; column j * B + t is gens[j] under
+    perms[t].
     """
-    n, width, adj = G.n, len(perms), G.adj_mask
+    n, width = G.n, len(perms)
     # byte t of lab[v] holds the label of v in perms[t], counted from the last byte, so
     # that the digits a plane is read from put perms[0] last, as bit 0
     labels = b"".join(map(bytes, reversed(perms)))
     raised = int.from_bytes(b"\x80" * width, "big")
     lab = [0, *(int.from_bytes(labels[v::n], "big") for v in range(n))]
     edges = []  # (u, w, the plane of w labelled above u) per edge {u < w}
-    for u in G.vertices:
-        for w in _bits(adj[u] >> u << u):
-            diff = ((lab[w] | raised) - lab[u]).to_bytes(width, "big")
-            edges.append((u, w, int(diff.translate(_HIGH_DIGITS), 2)))
+    for u, w in G.edges():
+        diff = ((lab[w] | raised) - lab[u]).to_bytes(width, "big")
+        edges.append((u, w, int(diff.translate(_BIT_DIGITS[7]), 2)))
     columns = None  # (lower ends, upper ends), one mask per column, on demand
 
     def ends(t: int) -> list[tuple[int, int]]:
         nonlocal columns
         if columns is None:
-            size = len(gens) * width
-            every = (1 << size) - 1
-            repeat = every // ((1 << width) - 1)  # bit j * width for each set j
-            a = [0, *_columns([m for m in gens for _ in range(width)], n)]
-            repeated = [(u, w, p * repeat) for u, w, p in edges]
-            columns = tuple(_columns(planes, size) for planes in _end_planes(G, a, repeated, every))
+            _, *planes = _end_planes(G, gens, edges, width)
+            columns = [_columns(p, len(gens) * width) for p in planes]
         los, his = columns
         return list(zip(los[t::width], his[t::width]))
 
